@@ -108,38 +108,28 @@ impl Backend {
         }
     }
 
-    /// Conservative lower bound on the next cycle this backend could act
-    /// on its own: retry a queued forward, release a gated operation,
-    /// advance the sync-array network, fire the consume-timeout flush, or
+    /// The wake time the event scheduler arms for this backend: a
+    /// conservative lower bound on the next cycle it could act on its
+    /// own — retry a queued forward, release a gated operation, advance
+    /// the sync-array network, fire the consume-timeout flush, or
     /// surface a completion. `None` means the backend is purely
     /// event-driven until another component changes state (those changes
     /// are covered by the memory system's and cores' own bounds).
-    pub(crate) fn next_event(&self, now: Cycle) -> Option<Cycle> {
+    ///
+    /// For SYNCOPTI *any* in-flight consume — released or not — keeps
+    /// the backend processed every cycle. Its `next_event` rightly
+    /// imposes no timing bound on a released consume (memory progress
+    /// covers it), but `process` step 6 refreshes the consume's
+    /// stall-attribution location from the memory system each cycle, and
+    /// the waiting consumer reads it every tick; skipping a process
+    /// cycle would leave attribution stale versus per-cycle simulation.
+    pub(crate) fn sched_wake(&self, now: Cycle) -> Option<Cycle> {
         match self {
             Backend::Software(b) => (!b.pending_forwards.is_empty()).then(|| now.next()),
+            Backend::SyncOpti(b) if !b.waiting_consumes.is_empty() => Some(now.next()),
             Backend::SyncOpti(b) => b.next_event(now),
             Backend::HeavyWt(b) => b.next_event(now),
         }
-    }
-
-    /// The wake time the event scheduler arms for this backend: the
-    /// `next_event` bound, tightened for SYNCOPTI so that *any* in-flight
-    /// consume — released or not — keeps the backend processed every
-    /// cycle. `next_event` rightly imposes no timing bound on a released
-    /// consume (memory progress covers it), but `process` step 6
-    /// refreshes the consume's stall-attribution location from the memory
-    /// system each cycle, and the waiting consumer reads it every tick;
-    /// skipping a process cycle would leave attribution stale versus
-    /// per-cycle simulation.
-    pub(crate) fn sched_wake(&self, now: Cycle) -> Option<Cycle> {
-        let mut wake = self.next_event(now);
-        if let Backend::SyncOpti(b) = self {
-            if !b.waiting_consumes.is_empty() {
-                let floor = now.next();
-                wake = Some(wake.map_or(floor, |w| w.min(floor)));
-            }
-        }
-        wake
     }
 
     /// Clears and returns the externally-driven-mutation flag (always
@@ -805,7 +795,7 @@ impl SyncOptiBackend {
         }
     }
 
-    /// See [`Backend::next_event`]. Releasable gated operations and
+    /// See [`Backend::sched_wake`]. Releasable gated operations and
     /// queued forwards retry every cycle (`now + 1`); a waiting consume on
     /// produced-but-unforwarded data fires at the idle-flush deadline.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
@@ -1102,7 +1092,7 @@ impl HeavyWtBackend {
         }
     }
 
-    /// See [`Backend::next_event`]. In-flight ACKs wake at their arrival
+    /// See [`Backend::sched_wake`]. In-flight ACKs wake at their arrival
     /// stamp; anything moving through the network, a serviceable waiting
     /// consume, or an undrained completion needs the very next cycle.
     fn next_event(&self, now: Cycle) -> Option<Cycle> {

@@ -25,39 +25,21 @@ const DEADLOCK_STRIDE: u64 = 64;
 /// The largest CMP the bus model supports (4 pipelines x 2 cores).
 const MAX_CORES: usize = 8;
 
-/// Fast-forward auto-disable: evaluate the skip rate every this many
-/// *elapsed cycles*. Windowing on cycles rather than bound computations
-/// matters on compute-dense workloads: they rarely reach a bound
-/// computation at all, so a bound-counted window would take most of the
-/// run to fill while every cycle kept paying the fast-forward checks.
-const FF_CYCLE_WINDOW: u64 = 4096;
-
-/// Fast-forward auto-disable: absolute minimum cycles a window must
-/// skip to keep fast-forwarding — below this the per-cycle checks alone
-/// outweigh the skips, however cheap the bounds were.
-const FF_MIN_WINDOW_SKIP: u64 = 64;
-
-/// Fast-forward auto-disable: cost of one bound computation, expressed
-/// in skipped-cycle equivalents (a bound walks every component's
-/// `next_event`, roughly half the price of stepping a live cycle). A
-/// window must skip at least `window_bounds / FF_BOUND_COST_DIV` cycles
-/// to have paid for its bounds; workloads that compute a bound almost
-/// every cycle but jump only occasionally (e.g. streaming loops with
-/// sub-cycle average skips) net out slower than plain stepping.
-const FF_BOUND_COST_DIV: u64 = 2;
+/// Event-scheduler auto-latch: evaluate the skip rate every this many
+/// *elapsed cycles*.
+const LATCH_CYCLE_WINDOW: u64 = 4096;
 
 /// Consecutive low-skip windows required before latching off, so a
 /// dense warm-up phase alone doesn't forfeit skips in a later
 /// memory-bound phase.
-const FF_LOW_WINDOWS: u32 = 2;
+const LATCH_LOW_WINDOWS: u32 = 2;
 
-/// Event-scheduler auto-latch: a [`FF_CYCLE_WINDOW`]-cycle window is
-/// *low-skip* when it skips fewer than `FF_CYCLE_WINDOW /
-/// EVENT_LOW_SKIP_DIV` cycles (12.5%). After [`FF_LOW_WINDOWS`]
+/// Event-scheduler auto-latch: a [`LATCH_CYCLE_WINDOW`]-cycle window is
+/// *low-skip* when it skips fewer than `LATCH_CYCLE_WINDOW /
+/// EVENT_LOW_SKIP_DIV` cycles (12.5%). After [`LATCH_LOW_WINDOWS`]
 /// consecutive low windows the event loop latches to plain per-cycle
 /// stepping for the rest of the run: on compute-dense workloads the
-/// queue, the arming, and the wake bounds are pure overhead — exactly
-/// the polling loop's auto-disable, applied to the scheduler itself.
+/// queue, the arming, and the wake bounds are pure overhead.
 /// The threshold sits well above the break-even overhead (measured
 /// 5–25% of a live cycle depending on tick weight) and well below the
 /// ~20% skip fraction of the sync-heavy workloads that profit.
@@ -77,30 +59,6 @@ const TOK_WATCH: u32 = 3;
 /// First per-component token: backends at `TOK_COMP + k`, cores at
 /// `TOK_COMP + backends + i`.
 const TOK_COMP: u32 = 4;
-
-/// Which run loop drives the simulation (see the `HFS_SCHED`
-/// environment variable). Results are bit-identical across modes; only
-/// wall-clock changes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Event-driven: components push wake times into a calendar queue
-    /// when their state changes, and the run loop steps only woken
-    /// components (the default).
-    Event,
-    /// Per-advance `next_event` polling with the fast-forward pay-floor
-    /// latch — the pre-scheduler loop, kept as the debug cross-check and
-    /// `HFS_SCHED=poll` escape hatch.
-    Poll,
-}
-
-/// Reads `HFS_SCHED` (`poll` selects the polling loop; anything else —
-/// including unset — selects the event-driven scheduler).
-fn sched_from_env() -> SchedMode {
-    match std::env::var("HFS_SCHED") {
-        Ok(v) if v.eq_ignore_ascii_case("poll") => SchedMode::Poll,
-        _ => SchedMode::Event,
-    }
-}
 
 /// Arms `token` to wake at `at`, recording the wake in the caller's
 /// armed-time table. Arming only ever *tightens*: a later wake than the
@@ -244,28 +202,6 @@ impl RunResult {
     }
 }
 
-/// Skip-rate accounting for idle-cycle fast-forwarding (see
-/// [`Machine::fast_forward_stats`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FastForwardStats {
-    /// Jump-target (bound) computations performed so far this run.
-    pub bound_computations: u64,
-    /// Total cycles skipped across all fast-forward jumps this run.
-    pub skipped_cycles: u64,
-    /// Whether the low-skip-rate auto-disable latched fast-forward off
-    /// for the remainder of the run.
-    pub auto_disabled: bool,
-    /// First cycle of the current evaluation window.
-    window_start: u64,
-    /// Cycles skipped in the current evaluation window.
-    window_skipped: u64,
-    /// Bound computations in the current evaluation window.
-    window_bounds: u64,
-    /// Consecutive windows that skipped too little to pay for
-    /// themselves.
-    low_windows: u32,
-}
-
 /// The simulated machine, ready to run one workload to completion.
 ///
 /// Construct with [`Machine::new_pipeline`] (two cores, one design point)
@@ -283,14 +219,10 @@ pub struct Machine {
     now: Cycle,
     tracer: Tracer,
     checker: Checker,
-    /// Idle-cycle fast-forwarding (on unless `HFS_NO_FASTFWD` is set).
-    /// Results are bit-identical either way; only wall-clock changes.
+    /// Idle-cycle fast-forwarding by the event scheduler (on unless
+    /// `HFS_NO_FASTFWD` is set; off means per-cycle stepping). Results
+    /// are bit-identical either way; only wall-clock changes.
     fast_forward: bool,
-    /// Skip-rate accounting behind the fast-forward auto-disable
-    /// (poll-mode only; the event scheduler needs no pay-floor latch).
-    ff: FastForwardStats,
-    /// Which run loop drives the simulation (from `HFS_SCHED`).
-    sched_mode: SchedMode,
     /// Calendar-queue accounting for the last event-driven run.
     sched: SchedStats,
     /// Cooperative cancellation, polled once per simulated cycle.
@@ -398,8 +330,6 @@ impl Machine {
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
             fast_forward: fastfwd_enabled(),
-            ff: FastForwardStats::default(),
-            sched_mode: sched_from_env(),
             sched: SchedStats::default(),
             cancel: None,
             events_scratch: Vec::new(),
@@ -437,8 +367,6 @@ impl Machine {
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
             fast_forward: fastfwd_enabled(),
-            ff: FastForwardStats::default(),
-            sched_mode: sched_from_env(),
             sched: SchedStats::default(),
             cancel: None,
             events_scratch: Vec::new(),
@@ -449,58 +377,16 @@ impl Machine {
     }
 
     /// Enables or disables idle-cycle fast-forwarding (defaults to the
-    /// `HFS_NO_FASTFWD` environment variable being unset). Simulation
-    /// results are bit-identical either way; only wall-clock changes.
-    /// Re-enabling clears a previous skip-rate auto-disable latch.
+    /// `HFS_NO_FASTFWD` environment variable being unset). Off pins the
+    /// run to per-cycle stepping. Simulation results are bit-identical
+    /// either way; only wall-clock changes.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
-        self.ff.window_start = self.now.as_u64();
-        self.ff.window_skipped = 0;
-        self.ff.window_bounds = 0;
-        self.ff.low_windows = 0;
-        if on {
-            self.ff.auto_disabled = false;
-        }
-    }
-
-    /// Whether idle-cycle fast-forwarding is currently active. May flip
-    /// from `true` to `false` mid-run when the skip-rate auto-disable
-    /// latches (see [`Machine::fast_forward_stats`]).
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.fast_forward
-    }
-
-    /// Skip-rate accounting for this run's fast-forwarding: how many jump
-    /// targets were computed, how many cycles they actually skipped, and
-    /// whether the low-skip-rate auto-disable fired. On workloads whose
-    /// skips don't pay for the bounds that found them, the fast-forward
-    /// machinery is net overhead, so after `FF_LOW_WINDOWS` consecutive
-    /// `FF_CYCLE_WINDOW`-cycle windows each skipping less than its
-    /// bound computations cost (or an absolute floor), the machine
-    /// latches back to plain per-cycle stepping for the rest of the
-    /// run. Results are bit-identical either way; only wall-clock
-    /// changes.
-    pub fn fast_forward_stats(&self) -> FastForwardStats {
-        self.ff
-    }
-
-    /// Selects the run loop (defaults to `HFS_SCHED` from the
-    /// environment). Results are bit-identical across modes; only
-    /// wall-clock changes. Note that [`SchedMode::Event`] additionally
-    /// requires fast-forwarding on, no enabled checker, and no recording
-    /// tracer — otherwise the run falls back to the polling loop (the
-    /// per-cycle bound those features pin to *is* the polling loop).
-    pub fn set_sched_mode(&mut self, mode: SchedMode) {
-        self.sched_mode = mode;
-    }
-
-    /// The scheduler mode selected with [`Machine::set_sched_mode`].
-    pub fn sched_mode(&self) -> SchedMode {
-        self.sched_mode
     }
 
     /// Calendar-queue accounting for the most recent event-driven run
-    /// (all zero after a polling run).
+    /// (all zero after a per-cycle run), including whether its low-skip
+    /// latch handed the run off to per-cycle stepping.
     pub fn sched_stats(&self) -> &SchedStats {
         &self.sched
     }
@@ -590,32 +476,27 @@ impl Machine {
         max_cycles: u64,
         interval: Option<u64>,
     ) -> Result<(RunResult, Vec<(u64, u64)>), SimError> {
-        // The per-cycle bound that an enabled checker or a recording
-        // tracer pins to *is* the polling loop, and `HFS_NO_FASTFWD`
-        // (cleared `fast_forward`) asks for exactly that bound; the
-        // event scheduler drives every other configuration.
-        let event = self.sched_mode == SchedMode::Event
-            && self.fast_forward
-            && !self.checker.is_enabled()
-            && !self.tracer.is_recording();
-        if event {
+        // An enabled checker must audit every cycle, a recording tracer
+        // pins to per-cycle stepping so its event stream is produced
+        // live, and `HFS_NO_FASTFWD` (cleared `fast_forward`) asks for
+        // exactly that loop; the event scheduler drives every other
+        // configuration.
+        if self.fast_forward && !self.checker.is_enabled() && !self.tracer.is_recording() {
             self.run_sampled_event(max_cycles, interval)
         } else {
-            self.run_sampled_poll(max_cycles, interval)
+            self.run_sampled_percycle(max_cycles, interval)
         }
     }
 
-    /// The polling run loop: every component steps every cycle, with
-    /// [`Machine::advance`] folding `next_event` bounds to fast-forward
-    /// dead windows. Kept as the debug cross-check and `HFS_SCHED=poll`
-    /// escape hatch, and as the pinned loop for checkers and recording
-    /// tracers.
+    /// The reference run loop: every component steps every cycle. It
+    /// serves enabled checkers, recording tracers, `HFS_NO_FASTFWD`, and
+    /// the event loop's low-skip handoff.
     // One shared copy for both call sites (the dispatcher and the event
     // loop's low-skip handoff): inlining either would fork the hot loop
-    // into differently-optimized duplicates, and mode-vs-mode benchmark
+    // into differently-optimized duplicates, and loop-vs-loop benchmark
     // ratios would then measure code layout instead of scheduling.
     #[inline(never)]
-    fn run_sampled_poll(
+    fn run_sampled_percycle(
         &mut self,
         max_cycles: u64,
         interval: Option<u64>,
@@ -707,7 +588,7 @@ impl Machine {
                     samples.push((now.as_u64(), iters));
                 }
             }
-            self.now = self.advance(now, max_cycles, interval);
+            self.now = now.next();
         }
         if let Some(msg) = self.checker.first_violation() {
             return Err(SimError::Verification(msg));
@@ -728,9 +609,9 @@ impl Machine {
     /// surfaces as a stale pop and is discarded. Cores that cannot
     /// prove a wake bound (structurally blocked, or mid-execution with
     /// in-flight memory) run *reactively* — ticked every processed
-    /// cycle and folded into jump computations poll-style — so the
+    /// cycle, their `next_event` bounds folded into every jump — so the
     /// scheduler never needs a per-cycle bound it cannot justify.
-    /// Results are bit-identical with the polling loop: skipped cycles
+    /// Results are bit-identical with per-cycle stepping: skipped cycles
     /// are charged to sleeping and reactive cores exactly as live ticks
     /// would have, including per-cycle trace events when tracing.
     #[inline(never)]
@@ -744,20 +625,19 @@ impl Machine {
         let mut q = CalendarQueue::new(self.now);
         let mut armed = vec![u64::MAX; ntok];
         // Cores currently without a pushed wake time; ticked every
-        // processed cycle, like the polling loop would.
+        // processed cycle, as per-cycle stepping would.
         let mut reactive = vec![false; self.cores.len()];
         // Arms made this cycle for the immediately next one (the fast
         // path bypassing the queue); any forces the next cycle live.
         let mut near: u32 = 0;
-        // Low-skip auto-latch state: after FF_LOW_WINDOWS consecutive
+        // Low-skip auto-latch state: after LATCH_LOW_WINDOWS consecutive
         // low-skip windows the loop *wants* to latch; it hands the run
-        // off to the polling loop (fast-forward disabled — plain
-        // per-cycle stepping) at the first cycle with no core mid-sleep,
-        // so no pre-charged idle window is ever double-counted. While
-        // the latch is pending, no new sleeps are granted, which bounds
-        // the wait by the longest already-armed wake.
+        // off to per-cycle stepping at the first cycle with no core
+        // mid-sleep, so no pre-charged idle window is ever
+        // double-counted. While the latch is pending, no new sleeps are
+        // granted, which bounds the wait by the longest already-armed
+        // wake.
         let mut want_latch = false;
-        let mut handoff = false;
         let mut window_start = self.now.as_u64();
         let mut window_skipped: u64 = 0;
         let mut low_windows: u32 = 0;
@@ -802,10 +682,10 @@ impl Machine {
                     });
                 }
             }
-            if !want_latch && now.as_u64() - window_start >= FF_CYCLE_WINDOW {
-                if window_skipped < FF_CYCLE_WINDOW / EVENT_LOW_SKIP_DIV {
+            if !want_latch && now.as_u64() - window_start >= LATCH_CYCLE_WINDOW {
+                if window_skipped < LATCH_CYCLE_WINDOW / EVENT_LOW_SKIP_DIV {
                     low_windows += 1;
-                    want_latch = low_windows >= FF_LOW_WINDOWS;
+                    want_latch = low_windows >= LATCH_LOW_WINDOWS;
                 } else {
                     low_windows = 0;
                 }
@@ -819,7 +699,7 @@ impl Machine {
                 // No core holds a pre-charged future wake: every idle
                 // cycle charged so far lies strictly behind `now`, so
                 // per-cycle stepping can take over mid-run.
-                handoff = true;
+                self.sched.latched = true;
                 break Ok(());
             }
             // Surface due queue entries. The armed table is the
@@ -900,8 +780,7 @@ impl Machine {
                     );
                 } else if core.last_commit() == now {
                     // Busy: a committing core almost certainly commits
-                    // again next cycle, so skip the bound computation
-                    // (the polling loop's busy heuristic).
+                    // again next cycle, so skip the bound computation.
                     *reactive_i = false;
                     arm(
                         &mut q,
@@ -970,7 +849,7 @@ impl Machine {
                 }
             }
             // Fail loudly, at the offending cycle (the dispatcher pins
-            // enabled checkers to the polling loop, so only the queue
+            // enabled checkers to per-cycle stepping, so only the queue
             // self-check applies here).
             for b in &self.backends {
                 if let Some(e) = b.check().errors().first() {
@@ -1039,8 +918,7 @@ impl Machine {
             // their bound computation — extra ticks are exactly what
             // per-cycle stepping does, so results cannot change; real
             // bounds are computed only on commit-free cycles, where a
-            // jump could actually use them (the polling loop's busy
-            // heuristic, applied per re-arm).
+            // jump could actually use them.
             let busy = self.last_progress() == now;
             if mem_due || self.mem.take_touched() {
                 if busy {
@@ -1091,9 +969,9 @@ impl Machine {
                 }
             }
             // Jump to the earliest armed wake, bounded by the reactive
-            // cores' conservative `next_event` (poll-style; a blocked
-            // core may have no bound of its own — its unblock is always
-            // someone else's armed wake).
+            // cores' conservative `next_event` (a blocked core may have
+            // no bound of its own — its unblock is always someone else's
+            // armed wake).
             let next = now.next();
             let mut candidate = if near > 0 {
                 next
@@ -1168,16 +1046,12 @@ impl Machine {
         self.sched.scheduled += q.scheduled();
         self.sched.occupancy = q.occupancy().clone();
         outcome?;
-        if handoff {
-            // Low-skip latch: finish the run in the polling loop with
-            // fast-forward disabled — plain per-cycle stepping in the
-            // code path compiled for exactly that. Identical semantics
-            // (the polling loop resumes from `self.now`, and its inline
-            // deadlock/sample stride checks match the scheduled wakes),
-            // so only wall-clock changes.
-            self.fast_forward = false;
-            self.ff.auto_disabled = true;
-            let (result, tail) = self.run_sampled_poll(max_cycles, interval)?;
+        if self.sched.latched {
+            // Low-skip latch: finish the run with per-cycle stepping.
+            // Identical semantics (it resumes from `self.now`, and its
+            // inline deadlock/sample stride checks match the scheduled
+            // wakes), so only wall-clock changes.
+            let (result, tail) = self.run_sampled_percycle(max_cycles, interval)?;
             samples.extend(tail);
             // Every cycle of the run was either processed live (by this
             // loop or the per-cycle tail) or skipped by a jump.
@@ -1198,146 +1072,6 @@ impl Machine {
             .map(Core::last_commit)
             .max()
             .unwrap_or(Cycle::ZERO)
-    }
-
-    /// The next value of `self.now`: normally `now + 1`, or a later cycle
-    /// when fast-forwarding proves no component can act in between. The
-    /// jump target is the minimum over every component's conservative
-    /// `next_event` bound plus the simulator's own scheduled events (the
-    /// deadlock sweep, the sampling grid, the timeout). Skipped cycles
-    /// are charged to each unfinished core exactly as live ticks would
-    /// have, including per-cycle trace events when tracing.
-    fn advance(&mut self, now: Cycle, max_cycles: u64, interval: Option<u64>) -> Cycle {
-        let next = now.next();
-        // An enabled checker forces the per-cycle bound: its audits and
-        // aging rules (bus starvation, request age, per-cycle occupancy
-        // checks) must observe every cycle, so fast-forward windows are
-        // disabled rather than reasoned about.
-        if !self.fast_forward || self.checker.is_enabled() {
-            return next;
-        }
-        // Skip-rate auto-disable, evaluated on elapsed cycles so that
-        // compute-dense stretches — which rarely even reach a bound
-        // computation below — latch within a few windows instead of
-        // paying the fast-forward checks for the whole run.
-        if now.as_u64() - self.ff.window_start >= FF_CYCLE_WINDOW {
-            let pay_floor = (self.ff.window_bounds / FF_BOUND_COST_DIV).max(FF_MIN_WINDOW_SKIP);
-            if self.ff.window_skipped < pay_floor {
-                self.ff.low_windows += 1;
-                if self.ff.low_windows >= FF_LOW_WINDOWS {
-                    self.fast_forward = false;
-                    self.ff.auto_disabled = true;
-                    return next;
-                }
-            } else {
-                self.ff.low_windows = 0;
-            }
-            self.ff.window_start = now.as_u64();
-            self.ff.window_skipped = 0;
-            self.ff.window_bounds = 0;
-        }
-        // A core may have committed its last instruction during this very
-        // cycle; the termination check must run on the next one, so never
-        // jump once every program is done.
-        if self
-            .cores
-            .iter()
-            .zip(&self.seqs)
-            .all(|(c, s)| c.finished(s))
-        {
-            return next;
-        }
-        // A committing machine is busy: the next cycle almost certainly
-        // commits again, so skip the bound computation entirely rather
-        // than pay its cost every cycle of a compute-dense stretch.
-        if self.last_progress() == now {
-            return next;
-        }
-        // Timeout fires at max_cycles + 1.
-        let mut target = Cycle::new(max_cycles.saturating_add(1));
-        // Next deadlock sweep that could declare: the first stride
-        // multiple past the declaration point, and past `now`.
-        let declare = self.last_progress().as_u64() + self.cfg.deadlock_cycles + 1;
-        let sweep = (declare.div_ceil(DEADLOCK_STRIDE) * DEADLOCK_STRIDE)
-            .max((now.as_u64() / DEADLOCK_STRIDE + 1) * DEADLOCK_STRIDE);
-        target = target.min(Cycle::new(sweep));
-        if let Some(step) = interval {
-            target = target.min(Cycle::new((now.as_u64() / step + 1) * step));
-        }
-        if let Some(t) = self.mem.next_event(now) {
-            target = target.min(t);
-        }
-        for b in &self.backends {
-            if let Some(t) = b.next_event(now) {
-                target = target.min(t);
-            }
-        }
-        for i in 0..self.cores.len() {
-            if self.cores[i].finished(&self.seqs[i]) {
-                continue;
-            }
-            if let Some(t) = self.cores[i].next_event(now, &mut self.seqs[i]) {
-                target = target.min(t);
-            }
-        }
-        // Skip-rate accounting feeding the cycle-window auto-disable
-        // above (bit-identical results either way; only wall-clock
-        // changes when the latch fires).
-        let skipped_by_jump = target.as_u64().saturating_sub(next.as_u64());
-        self.ff.bound_computations += 1;
-        self.ff.skipped_cycles += skipped_by_jump;
-        self.ff.window_skipped += skipped_by_jump;
-        self.ff.window_bounds += 1;
-        if target <= next {
-            return next;
-        }
-        // Charge the skipped window [now+1, target-1] to every unfinished
-        // core. No component changes state in a dead window, so the stall
-        // component is constant across it.
-        let skipped = target.as_u64() - next.as_u64();
-        let mut live = [false; MAX_CORES];
-        let mut comps = [StallComponent::PreL2; MAX_CORES];
-        for i in 0..self.cores.len() {
-            if self.cores[i].finished(&self.seqs[i]) {
-                continue;
-            }
-            live[i] = true;
-            comps[i] = match self.backends.get(i / 2) {
-                Some(b) => self.cores[i].idle_component(next, &self.mem, b),
-                None => self.cores[i].idle_component(next, &self.mem, &NullStreamPort),
-            };
-            self.cores[i].charge_idle(skipped, comps[i]);
-            // A structurally blocked issue stage would have repeated its
-            // refused attempt on every skipped cycle; replay the side
-            // effects that live outside the core (the L1 probe of a
-            // refused demand access, the backend's blocked-path
-            // counters) so statistics match per-cycle simulation.
-            match self.cores[i].blocked_attempt() {
-                Some(BlockedAttempt::OzqLoad(addr) | BlockedAttempt::OzqStore(addr)) => {
-                    let id = self.cores[i].id();
-                    self.mem.replay_blocked_probes(id, addr, skipped);
-                }
-                Some(BlockedAttempt::Stream { q, produce }) => {
-                    let id = self.cores[i].id();
-                    if let Some(b) = self.backends.get_mut(i / 2) {
-                        b.charge_blocked(id, q, produce, skipped);
-                    }
-                }
-                Some(BlockedAttempt::Fence) | None => {}
-            }
-        }
-        if self.tracer.is_enabled() {
-            // Replay the per-cycle stall events in live order: cycles
-            // outermost, cores in index order within each cycle.
-            for cy in next.as_u64()..target.as_u64() {
-                for i in 0..self.cores.len() {
-                    if live[i] {
-                        self.cores[i].trace_idle(Cycle::new(cy), comps[i]);
-                    }
-                }
-            }
-        }
-        target
     }
 
     fn diagnose(&self) -> String {
@@ -1424,7 +1158,7 @@ impl Machine {
             r.counter("sc.misses", misses);
             r.counter("sc.dropped_fills", dropped);
         }
-        // Scheduler accounting (all zero after a polling run). Excluded
+        // Scheduler accounting (all zero after a per-cycle run). Excluded
         // from harness artifact bytes and cache keys — wall-clock
         // machinery, not simulated behavior.
         r.counter("sched.scheduled", self.sched.scheduled);

@@ -140,7 +140,7 @@ fn summary_from_json(v: &Json) -> Result<HistogramSummary, DecodeError> {
 /// insertion order (the report's serialization contract). `sched.*`
 /// counters are excluded: they describe wall-clock machinery, not
 /// simulated behavior, and artifact bytes must be identical across
-/// `HFS_SCHED` modes.
+/// run loops.
 pub fn metrics_to_json(m: &MetricsReport) -> Json {
     Json::obj(vec![
         ("breakdown", breakdown_to_json(&m.breakdown)),

@@ -8,7 +8,7 @@
 //! batch completes, and the restart shows up in the metrics.
 
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use hfs_core::kernel::KernelPair;
@@ -37,11 +37,19 @@ fn offline_bytes(job: &Job) -> String {
     outcome_to_json(&execute(job, 0)).to_pretty()
 }
 
+/// Serializes this file's tests. [`worker_pids`] counts every
+/// `--worker` child of the whole test process, so a test running beside
+/// another would see its sibling's live workers in the orphan check.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 struct TestServer {
     endpoint: Endpoint,
     sock: PathBuf,
     cache: PathBuf,
     handle: Option<std::thread::JoinHandle<std::io::Result<hfs_serve::ServeStats>>>,
+    /// Held until the test drops its server, after the orphan check. A
+    /// failed test poisons the lock; the next one still runs.
+    _serial: MutexGuard<'static, ()>,
 }
 
 impl TestServer {
@@ -64,6 +72,7 @@ impl TestServer {
         worker_bin: PathBuf,
         default_retries: u32,
     ) -> TestServer {
+        let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
         let base = std::env::temp_dir().join(format!("hfs-workers-{}-{tag}", std::process::id()));
         let sock = base.with_extension("sock");
         let cache = base.with_extension("cache");
@@ -86,6 +95,7 @@ impl TestServer {
             sock,
             cache,
             handle: Some(handle),
+            _serial: serial,
         }
     }
 

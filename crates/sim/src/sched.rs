@@ -61,6 +61,9 @@ pub struct SchedStats {
     pub cycles_skipped: u64,
     /// Queue occupancy sampled at each `schedule` call.
     pub occupancy: Histogram,
+    /// Whether the low-skip auto-latch handed the run off to per-cycle
+    /// stepping partway through.
+    pub latched: bool,
 }
 
 impl Default for SchedStats {
@@ -72,6 +75,7 @@ impl Default for SchedStats {
             cycles_processed: 0,
             cycles_skipped: 0,
             occupancy: Histogram::new(OCCUPANCY_BUCKETS),
+            latched: false,
         }
     }
 }
@@ -334,5 +338,6 @@ mod tests {
         assert_eq!(s.scheduled + s.fired + s.cancelled, 0);
         assert_eq!(s.cycles_processed + s.cycles_skipped, 0);
         assert_eq!(s.occupancy.count(), 0);
+        assert!(!s.latched);
     }
 }

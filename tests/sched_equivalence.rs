@@ -1,18 +1,16 @@
-//! Scheduler-mode equivalence: the event-driven calendar-queue loop,
-//! the polling fast-forward loop, and plain per-cycle stepping must be
-//! bit-identical in every architectural statistic. Only wall-clock may
-//! differ between modes.
+//! Run-loop equivalence: the event-driven calendar-queue loop and plain
+//! per-cycle stepping must be bit-identical in every architectural
+//! statistic, and the strided deadlock detector must declare at the
+//! same cycle in both. Only wall-clock may differ between the loops.
 
 use hfs::core::kernel::{KStep, Kernel, KernelPair};
-use hfs::core::{DesignPoint, Machine, MachineConfig, RunResult, SchedMode};
+use hfs::core::{CheckLevel, DesignPoint, Machine, MachineConfig, RunResult, SimError};
 use hfs::isa::QueueId;
 use hfs::sim::Rng64;
 use hfs::trace::Tracer;
 
-const CASES: u64 = 6;
-
 /// Builds a random but valid two-thread pipeline (the same shape space
-/// as the fast-forward property test, different seed stream).
+/// as `proptest_pipeline`, different seed stream).
 fn arb_pair(rng: &mut Rng64) -> KernelPair {
     let pwork = rng.range(1, 6) as u32;
     let cchain = rng.range(1, 6) as u32;
@@ -55,11 +53,11 @@ fn designs() -> Vec<DesignPoint> {
     ]
 }
 
-/// One run in an explicitly pinned scheduler configuration, immune to
-/// whatever `HFS_SCHED` the test environment carries.
-fn run_mode(cfg: &MachineConfig, pair: &KernelPair, mode: SchedMode, ff: bool) -> RunResult {
+/// One run with fast-forwarding on (the event loop) or off (per-cycle
+/// stepping), immune to whatever `HFS_NO_FASTFWD` the test environment
+/// carries.
+fn run_ff(cfg: &MachineConfig, pair: &KernelPair, ff: bool) -> RunResult {
     let mut m = Machine::new_pipeline(cfg, pair).expect("machine builds");
-    m.set_sched_mode(mode);
     m.set_fast_forward(ff);
     m.run(20_000_000).expect("run completes")
 }
@@ -72,69 +70,75 @@ fn assert_identical(a: &RunResult, b: &RunResult, label: &str) {
     assert_eq!(a.iterations, b.iterations, "{label}: iterations");
 }
 
-/// Event mode == poll mode == per-cycle stepping, across random
-/// pipelines and every design point: same cycles, per-core statistics
-/// (stall breakdowns included), memory-system counters, and
-/// stream-cache counters.
-#[test]
-fn event_matches_poll_and_percycle_on_random_configs() {
-    let mut rng = Rng64::new(0x5CED_0001);
-    for case in 0..CASES {
+/// Runs `cases` random pipelines from `seed` on every design point and
+/// checks the event loop against per-cycle stepping: same cycles,
+/// per-core statistics (stall breakdowns and the blocked-attempt
+/// counters the skip path replays in bulk included), memory-system
+/// counters, and stream-cache counters.
+fn check_random_configs(seed: u64, cases: u64) {
+    let mut rng = Rng64::new(seed);
+    for case in 0..cases {
         let pair = arb_pair(&mut rng);
         assert!(pair.validate().is_ok());
         for design in designs() {
             let cfg = MachineConfig::itanium2_cmp(design);
-            let event = run_mode(&cfg, &pair, SchedMode::Event, true);
-            let poll = run_mode(&cfg, &pair, SchedMode::Poll, true);
-            let percycle = run_mode(&cfg, &pair, SchedMode::Poll, false);
-            let label = format!("case {case}, {}", event.design);
-            assert_identical(&event, &poll, &format!("{label} (event vs poll)"));
-            assert_identical(&event, &percycle, &format!("{label} (event vs per-cycle)"));
+            let event = run_ff(&cfg, &pair, true);
+            let percycle = run_ff(&cfg, &pair, false);
+            let label = format!("seed {seed:#x} case {case}, {}", event.design);
+            assert_identical(&event, &percycle, &label);
         }
     }
 }
 
-/// The single-core fused baseline takes the same three paths.
+/// Event loop == per-cycle stepping across random pipelines and every
+/// design point.
 #[test]
-fn event_matches_poll_on_single_core_machines() {
+fn event_matches_percycle_on_random_configs() {
+    check_random_configs(0x5CED_0001, 6);
+}
+
+/// Fast-forwarding (the event loop) is invisible in every statistic on
+/// a second, independent stream of random pipelines.
+#[test]
+fn fastforward_matches_percycle_on_random_configs() {
+    check_random_configs(0xFF_0001, 8);
+}
+
+/// The single-core fused baseline takes both loops too.
+#[test]
+fn event_matches_percycle_on_single_core_machines() {
     let mut rng = Rng64::new(0x5CED_0002);
     let pair = arb_pair(&mut rng);
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::existing());
-    let run = |mode, ff| {
+    let run = |ff| {
         let mut m = Machine::new_single(&cfg, &pair).expect("machine builds");
-        m.set_sched_mode(mode);
         m.set_fast_forward(ff);
         m.run(20_000_000).expect("run completes")
     };
-    let event = run(SchedMode::Event, true);
-    let poll = run(SchedMode::Poll, true);
-    let percycle = run(SchedMode::Poll, false);
-    assert_identical(&event, &poll, "single-core (event vs poll)");
-    assert_identical(&event, &percycle, "single-core (event vs per-cycle)");
+    assert_identical(&run(true), &run(false), "single-core");
 }
 
-/// A metrics-only tracer is safe to fast-forward in event mode: its
+/// A metrics-only tracer is safe to fast-forward in the event loop: its
 /// fixed-order event totals and order-insensitive histograms must match
-/// the per-cycle run exactly. (Recording tracers pin to the polling
-/// loop instead — exported event *streams* are compared byte-for-byte
-/// by the trace determinism suite.)
+/// the per-cycle run exactly. (Recording tracers pin to per-cycle
+/// stepping instead — exported event *streams* are compared
+/// byte-for-byte by the trace determinism suite.)
 #[test]
 fn metrics_only_tracer_is_identical_across_modes() {
     let mut rng = Rng64::new(0x5CED_0003);
     let pair = arb_pair(&mut rng);
     for design in designs() {
         let cfg = MachineConfig::itanium2_cmp(design);
-        let run = |mode: SchedMode, ff: bool| {
+        let run = |ff: bool| {
             let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
-            m.set_sched_mode(mode);
             m.set_fast_forward(ff);
             m.set_tracer(Tracer::metrics_only());
             let r = m.run(20_000_000).expect("run completes");
             let t = m.tracer().clone();
             (r, t.event_counts(), t.consume_to_use(), t.queue_depth())
         };
-        let (re, ce, cue, qde) = run(SchedMode::Event, true);
-        let (rp, cp, cup, qdp) = run(SchedMode::Poll, false);
+        let (re, ce, cue, qde) = run(true);
+        let (rp, cp, cup, qdp) = run(false);
         let label = format!("metrics {}", re.design);
         assert_identical(&re, &rp, &label);
         assert_eq!(ce, cp, "{label}: event counts");
@@ -151,7 +155,7 @@ fn metrics_only_tracer_is_identical_across_modes() {
     }
 }
 
-/// Event-mode sampling lands on the same grid with the same iteration
+/// Event-loop sampling lands on the same grid with the same iteration
 /// counts as per-cycle stepping, and the run populates the scheduler's
 /// own accounting.
 #[test]
@@ -159,15 +163,14 @@ fn sampling_grid_and_sched_stats_survive_event_mode() {
     let mut rng = Rng64::new(0x5CED_0004);
     let pair = arb_pair(&mut rng);
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::syncopti_sc_q64());
-    let run = |mode, ff| {
+    let run = |ff| {
         let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
-        m.set_sched_mode(mode);
         m.set_fast_forward(ff);
         let out = m.run_sampled(20_000_000, Some(64)).expect("run completes");
         (out, m.sched_stats().clone())
     };
-    let ((re, se), stats) = run(SchedMode::Event, true);
-    let ((rp, sp), poll_stats) = run(SchedMode::Poll, false);
+    let ((re, se), stats) = run(true);
+    let ((rp, sp), percycle_stats) = run(false);
     assert_identical(&re, &rp, "sampled");
     assert_eq!(se, sp, "sample streams must be identical");
     assert_eq!(
@@ -178,8 +181,8 @@ fn sampling_grid_and_sched_stats_survive_event_mode() {
     assert!(stats.scheduled > 0, "event run populates queue accounting");
     assert!(stats.fired > 0, "event run fires wakes");
     assert_eq!(
-        poll_stats.scheduled, 0,
-        "poll runs leave scheduler accounting zeroed"
+        percycle_stats.scheduled, 0,
+        "per-cycle runs leave scheduler accounting zeroed"
     );
 }
 
@@ -200,7 +203,179 @@ fn heavywt_centralized_long_blocked_phases_stay_identical() {
     let mut pair = bench.pair.clone();
     pair.iterations = 300;
     let cfg = MachineConfig::itanium2_cmp(DesignPoint::heavywt_centralized(12));
-    let event = run_mode(&cfg, &pair, SchedMode::Event, true);
-    let percycle = run_mode(&cfg, &pair, SchedMode::Poll, false);
+    let event = run_ff(&cfg, &pair, true);
+    let percycle = run_ff(&cfg, &pair, false);
     assert_identical(&event, &percycle, "wc/centralized (event vs per-cycle)");
+}
+
+/// The machine checker composes with both loops: enabling it forces
+/// per-cycle stepping (every invariant is re-audited each cycle), yet
+/// the architectural results must still match an unchecked event-loop
+/// run exactly — with `set_fast_forward(true)` or `false` alike. This is
+/// the equivalence guarantee under `HFS_CHECK=1`.
+#[test]
+fn checker_preserves_results_and_pins_percycle() {
+    let mut rng = Rng64::new(0xFF_0002);
+    let pair = arb_pair(&mut rng);
+    for design in designs() {
+        let cfg = MachineConfig::itanium2_cmp(design);
+        let baseline = run_ff(&cfg, &pair, true);
+        let label = format!("checked {}", baseline.design);
+        assert!(!baseline.checked, "{label}: baseline is unchecked");
+        for ff in [true, false] {
+            let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+            m.set_fast_forward(ff);
+            m.set_check_level(CheckLevel::Full);
+            let r = m.run(20_000_000).expect("checked run completes");
+            assert!(r.checked, "{label}: run reports itself checked");
+            assert_eq!(
+                m.sched_stats().scheduled,
+                0,
+                "{label}: checked run must step per-cycle (ff={ff})"
+            );
+            assert_identical(&r, &baseline, &format!("{label} (ff={ff})"));
+        }
+    }
+}
+
+/// A dense pair: independent ALU work every cycle on both cores, so
+/// almost no cycle can be skipped. Under the EXISTING design the event
+/// loop's queue, arming and wake bounds are pure overhead here.
+fn dense_pair() -> KernelPair {
+    let q = QueueId(0);
+    KernelPair {
+        name: "ff-dense",
+        producer: Kernel::new(vec![KStep::Alu(4), KStep::Produce(q), KStep::Branch]),
+        consumer: Kernel::new(vec![KStep::Consume(q), KStep::AluChain(4), KStep::Branch]),
+        iterations: 4000,
+    }
+}
+
+/// On a workload whose skip rate is too low to pay for scheduling, the
+/// event loop must latch to per-cycle stepping after its observation
+/// windows — and the architectural results must still be bit-identical
+/// to a plain per-cycle run.
+#[test]
+fn auto_latch_fires_on_low_skip_workloads() {
+    let pair = dense_pair();
+    let cfg = MachineConfig::itanium2_cmp(DesignPoint::existing());
+    let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+    m.set_fast_forward(true);
+    let event = m.run(20_000_000).expect("run completes");
+    let stats = m.sched_stats();
+    assert!(
+        stats.latched,
+        "dense workload must trip the low-skip latch: {stats:?}"
+    );
+    assert!(
+        event.cycles > 8192,
+        "latch fires only after full observation windows, so the run \
+         must span several: {} cycles",
+        event.cycles
+    );
+    assert_eq!(
+        stats.cycles_processed + stats.cycles_skipped,
+        event.cycles + 1,
+        "the per-cycle tail keeps the processed/skipped partition: {stats:?}"
+    );
+    assert_identical(&event, &run_ff(&cfg, &pair, false), "latched");
+}
+
+/// On a skip-heavy workload the latch must *not* fire, even across
+/// several full observation windows: the event loop keeps skipping to
+/// the end of the run. `fir` under HEAVYWT is one: the event loop skips
+/// about a quarter of its cycles.
+#[test]
+fn auto_latch_spares_skip_heavy_workloads() {
+    let pair = hfs::workloads::benchmark("fir")
+        .expect("fir registered")
+        .with_iterations(3000)
+        .pair;
+    let cfg = MachineConfig::itanium2_cmp(DesignPoint::heavywt());
+    let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+    m.set_fast_forward(true);
+    let r = m.run(20_000_000).expect("run completes");
+    let stats = m.sched_stats();
+    assert!(
+        r.cycles > 4 * 4096,
+        "test must span multiple observation windows: {} cycles",
+        r.cycles
+    );
+    assert!(
+        !stats.latched,
+        "skip-heavy workload must keep the event loop: {stats:?}"
+    );
+    assert!(
+        stats.cycles_skipped * 8 >= r.cycles,
+        "skip rate should clear the 1/8 latch threshold: {stats:?}"
+    );
+}
+
+/// A pipeline that genuinely deadlocks under HEAVYWT: the producer must
+/// emit more items into `q0` than the queue, network, and consumer's
+/// instruction window can absorb before it ever produces `q1`, while
+/// the consumer's oldest in-flight consume waits on `q1`. Per-queue
+/// produce/consume counts still balance, so the pair validates.
+fn deadlocking_pair() -> KernelPair {
+    let q0 = QueueId(0);
+    let q1 = QueueId(1);
+    KernelPair {
+        name: "circular-wait",
+        producer: Kernel::new(vec![
+            KStep::Loop(vec![KStep::Produce(q0)], 200),
+            KStep::Produce(q1),
+            KStep::Branch,
+        ]),
+        consumer: Kernel::new(vec![
+            KStep::Consume(q1),
+            KStep::Loop(vec![KStep::Consume(q0)], 200),
+            KStep::Branch,
+        ]),
+        iterations: 4,
+    }
+}
+
+fn declared_cycle(deadlock_cycles: u64, ff: bool) -> u64 {
+    // The consumer's instruction window lets consumes *behind* the
+    // blocked q1 consume still issue, complete, and ACK, so the
+    // producer can push roughly window + queue-depth items of q0
+    // before back-pressure freezes it; 200 is far beyond that.
+    let mut cfg = MachineConfig::itanium2_cmp(DesignPoint::heavywt_with(2, 4));
+    cfg.deadlock_cycles = deadlock_cycles;
+    let pair = deadlocking_pair();
+    assert!(pair.validate().is_ok(), "balanced counts must validate");
+    let mut m = Machine::new_pipeline(&cfg, &pair).expect("machine builds");
+    m.set_fast_forward(ff);
+    match m.run(10_000_000) {
+        Err(SimError::Deadlock { cycle, .. }) => cycle,
+        other => panic!("expected deadlock, got {other:?}"),
+    }
+}
+
+/// The deadlock detector only *sweeps* every `DEADLOCK_STRIDE` cycles,
+/// but the declared cycle is computed from progress timestamps, so it
+/// must shift by exactly one when the window grows by one — per-cycle
+/// declaration semantics, immune to the sweep quantization.
+#[test]
+fn strided_deadlock_declares_at_the_exact_cycle() {
+    let base = declared_cycle(1000, true);
+    let plus_one = declared_cycle(1001, true);
+    assert_eq!(
+        plus_one,
+        base + 1,
+        "declared cycle must track the window exactly, not the sweep grid"
+    );
+}
+
+/// The event loop must not change when a deadlock is declared: a jump
+/// never passes a sweep that could declare.
+#[test]
+fn deadlock_cycle_identical_with_and_without_fastforward() {
+    for window in [777, 1000, 4096] {
+        assert_eq!(
+            declared_cycle(window, true),
+            declared_cycle(window, false),
+            "window {window}"
+        );
+    }
 }

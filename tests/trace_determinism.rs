@@ -54,9 +54,9 @@ fn recorded_stream_matches_the_golden_hash() {
     );
 }
 
-/// Traced machines fast-forward too (with a conservative bound that
-/// replays per-cycle stall events), so the recorded stream must be
-/// byte-identical whether or not fast-forwarding is enabled.
+/// A recording tracer pins the run to per-cycle stepping, so the
+/// recorded stream must be byte-identical whether or not
+/// fast-forwarding is enabled.
 #[test]
 fn recorded_stream_identical_with_and_without_fastforward() {
     use hfs::core::Machine;
