@@ -1,12 +1,13 @@
 //! Wall-clock benchmark of the simulation hot loop.
 //!
-//! Runs a fixed set of (benchmark × design point) configurations through
-//! [`hfs_harness::execute_once`] (no engine, no cache — every simulated
-//! cycle is paid for) and reports **simulated cycles per wall-clock
-//! second** for each, measured with `std::time::Instant`. Each point is
-//! timed twice: once with the event-driven calendar-queue scheduler and
-//! once pinned to plain per-cycle stepping via the `HFS_NO_FASTFWD`
-//! escape hatch, so the headline speedup of the event loop is recorded
+//! Runs a fixed set of (benchmark × design point) configurations on the
+//! machine [`hfs_harness::Job::machine`] builds (no engine, no cache —
+//! every simulated cycle is paid for) and reports **simulated cycles
+//! per wall-clock second** for each, measured with `std::time::Instant`.
+//! Each point is timed twice: once with the event-driven calendar-queue
+//! scheduler and once pinned to plain per-cycle stepping with
+//! `Machine::set_fast_forward(false)`, so the headline speedup of the
+//! event loop is recorded
 //! alongside the absolute rate. The artifact's top-level
 //! `geomean_speedup` summarizes the whole set (schema `simbench-v2`). A
 //! `host` block records `nproc` and an iso-8601 timestamp (overridable
@@ -33,12 +34,9 @@ use hfs_bench::perfbench::{
     bench_timestamp, load_committed_points, round2, write_artifact, CHECK_FLOOR,
 };
 use hfs_core::{DesignPoint, MachineConfig};
-use hfs_harness::{execute_once, Job, Json};
+use hfs_harness::{Job, Json};
 use hfs_sim::stats::geomean;
 use hfs_workloads::benchmark;
-
-/// Environment variable that pins runs to per-cycle stepping.
-const ENV_NO_FASTFWD: &str = "HFS_NO_FASTFWD";
 
 /// One benchmark × design configuration to time.
 struct Point {
@@ -100,8 +98,10 @@ fn point(bench: &'static str, design: DesignPoint, iterations: u64) -> Point {
 }
 
 /// Runs `p` repeatedly until at least `min_secs` of wall time has
-/// accumulated, returning total simulated cycles and elapsed time.
-fn time_point(p: &Point, min_secs: f64) -> Sample {
+/// accumulated, returning total simulated cycles and elapsed time. Each
+/// run builds a fresh machine, with the event loop when `fastfwd` is
+/// set and per-cycle stepping otherwise.
+fn time_point(p: &Point, min_secs: f64, fastfwd: bool) -> Sample {
     let b = benchmark(p.bench)
         .unwrap_or_else(|| panic!("unknown benchmark `{}`", p.bench))
         .with_iterations(p.iterations);
@@ -111,13 +111,22 @@ fn time_point(p: &Point, min_secs: f64) -> Sample {
         b.pair,
         cfg.clone(),
     );
+    let run = || {
+        let mut machine = job
+            .machine()
+            .unwrap_or_else(|e| panic!("{}: {e}", job.label));
+        machine.set_fast_forward(fastfwd);
+        machine
+            .run(job.max_cycles)
+            .unwrap_or_else(|e| panic!("{}: {e}", job.label))
+    };
     // Warm-up run: page in code, prime allocator arenas.
-    let warm = execute_once(&job).unwrap_or_else(|e| panic!("{}: {e}", job.label));
+    let warm = run();
     let mut sim_cycles = 0u64;
     let mut runs = 0u64;
     let start = Instant::now();
     loop {
-        let r = execute_once(&job).unwrap_or_else(|e| panic!("{}: {e}", job.label));
+        let r = run();
         assert_eq!(r.cycles, warm.cycles, "{}: nondeterministic run", job.label);
         sim_cycles += r.cycles;
         runs += 1;
@@ -157,18 +166,6 @@ struct Measurement {
     speedup: f64,
 }
 
-/// Times one window of `p` in the given loop mode.
-fn time_mode(p: &Point, min_secs: f64, fastfwd: bool) -> Sample {
-    if fastfwd {
-        std::env::remove_var(ENV_NO_FASTFWD);
-    } else {
-        std::env::set_var(ENV_NO_FASTFWD, "1");
-    }
-    let s = time_point(p, min_secs);
-    std::env::remove_var(ENV_NO_FASTFWD);
-    s
-}
-
 /// Times `p` with the event loop and with per-cycle stepping:
 /// [`BEST_OF`] window *pairs*, each pair run back-to-back with the mode
 /// order alternating. Adjacent windows share the interference
@@ -184,12 +181,12 @@ fn measure(p: &Point, min_secs: f64) -> Measurement {
     let mut ratios: Vec<f64> = Vec::with_capacity(BEST_OF);
     for i in 0..BEST_OF {
         let (f, n) = if i % 2 == 0 {
-            let f = time_mode(p, min_secs, true);
-            let n = time_mode(p, min_secs, false);
+            let f = time_point(p, min_secs, true);
+            let n = time_point(p, min_secs, false);
             (f, n)
         } else {
-            let n = time_mode(p, min_secs, false);
-            let f = time_mode(p, min_secs, true);
+            let n = time_point(p, min_secs, false);
+            let f = time_point(p, min_secs, true);
             (f, n)
         };
         if n.cycles_per_sec() > 0.0 {

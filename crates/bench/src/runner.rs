@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use hfs_core::{DesignPoint, MachineConfig, RunResult, SimError};
-use hfs_harness::{Batch, Engine, Job};
+use hfs_harness::{env_flag, Batch, Engine, Job};
 use hfs_mem::Protocol;
 use hfs_trace::{chrome_trace_json, Tracer};
 use hfs_workloads::Benchmark;
@@ -68,16 +68,11 @@ fn apply_protocol(mut cfg: MachineConfig) -> MachineConfig {
     cfg
 }
 
-/// The process-wide experiment engine, configured from the `HFS_*`
-/// environment (`HFS_JOBS`, `HFS_CACHE_DIR`, `HFS_NO_CACHE`,
-/// `HFS_RETRIES`, `HFS_RESULTS_DIR`, `HFS_NO_PROGRESS`) on first use.
+/// The process-wide experiment engine, configured by
+/// [`Engine::from_env`] on first use.
 pub fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(Engine::from_env)
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
 }
 
 /// Whether batches route through an `hfs-serve` instance.
@@ -181,19 +176,24 @@ pub fn multi_job(batch: &str, bench: &Benchmark, design: DesignPoint, pairs: u8)
     )
 }
 
+/// Runs `job` once on its machine, without the engine (no cache, no
+/// pool, no retries) — the building block for one-off runs.
+fn run_once(job: &Job, tracer: Tracer) -> Result<RunResult, SimError> {
+    let mut machine = job.machine()?;
+    machine.set_tracer(tracer);
+    machine.run(job.max_cycles)
+}
+
 /// Runs `bench` under an explicit machine configuration, without the
-/// engine (no cache, no pool) — the building block for one-off runs.
+/// engine.
 ///
 /// # Errors
 ///
 /// Any [`SimError`] from machine construction or the run.
 pub fn try_run_with_config(bench: &Benchmark, cfg: &MachineConfig) -> Result<RunResult, SimError> {
     let b = scaled(bench);
-    hfs_harness::execute_once(&Job::pipeline(
-        b.name,
-        b.pair.clone(),
-        apply_protocol(cfg.clone()),
-    ))
+    let job = Job::pipeline(b.name, b.pair, apply_protocol(cfg.clone()));
+    run_once(&job, Tracer::disabled())
 }
 
 /// Runs the fused single-threaded version of `bench`.
@@ -204,7 +204,7 @@ pub fn try_run_with_config(bench: &Benchmark, cfg: &MachineConfig) -> Result<Run
 pub fn try_run_single(bench: &Benchmark) -> Result<RunResult, SimError> {
     let b = scaled(bench);
     let cfg = apply_protocol(MachineConfig::itanium2_single());
-    hfs_harness::execute_once(&Job::single(b.name, b.pair.clone(), cfg))
+    run_once(&Job::single(b.name, b.pair, cfg), Tracer::disabled())
 }
 
 /// Runs `bench` as a two-thread pipeline under `design` on the baseline
@@ -249,8 +249,8 @@ pub fn demo_trace() -> (String, RunResult) {
     let b = b.with_iterations(b.pair.iterations.min(QUICK_ITERATIONS));
     let job = design_job("trace-demo", &b, DesignPoint::heavywt());
     let tracer = Tracer::recording();
-    let result = hfs_harness::execute_once_with(&job, &tracer)
-        .unwrap_or_else(|e| panic!("trace demo run failed: {e}"));
+    let result =
+        run_once(&job, tracer.clone()).unwrap_or_else(|e| panic!("trace demo run failed: {e}"));
     (chrome_trace_json(&tracer.take_events()), result)
 }
 

@@ -219,9 +219,9 @@ pub struct Machine {
     now: Cycle,
     tracer: Tracer,
     checker: Checker,
-    /// Idle-cycle fast-forwarding by the event scheduler (on unless
-    /// `HFS_NO_FASTFWD` is set; off means per-cycle stepping). Results
-    /// are bit-identical either way; only wall-clock changes.
+    /// Idle-cycle fast-forwarding by the event scheduler (on by default;
+    /// off means per-cycle stepping). Results are bit-identical either
+    /// way; only wall-clock changes.
     fast_forward: bool,
     /// Calendar-queue accounting for the last event-driven run.
     sched: SchedStats,
@@ -231,11 +231,6 @@ pub struct Machine {
     /// nothing in steady state.
     events_scratch: Vec<MemEvent>,
     drop_scratch: Vec<Completion>,
-}
-
-/// Whether the `HFS_NO_FASTFWD` escape hatch is set in the environment.
-fn fastfwd_enabled() -> bool {
-    std::env::var_os("HFS_NO_FASTFWD").is_none_or(|v| v.is_empty())
 }
 
 impl Machine {
@@ -320,23 +315,7 @@ impl Machine {
             crate::lower::QUEUE_BASE,
             crate::lower::QUEUE_BASE + 64 * crate::lower::QUEUE_SPAN,
         );
-        let mut m = Machine {
-            mem,
-            cores,
-            seqs,
-            backends,
-            now: Cycle::ZERO,
-            cfg,
-            tracer: Tracer::disabled(),
-            checker: Checker::disabled(),
-            fast_forward: fastfwd_enabled(),
-            sched: SchedStats::default(),
-            cancel: None,
-            events_scratch: Vec::new(),
-            drop_scratch: Vec::new(),
-        };
-        m.set_checker(Checker::from_env());
-        Ok(m)
+        Ok(Machine::assemble(cfg, mem, cores, seqs, backends))
     }
 
     /// Builds a single-core machine running the fused version of `pair`
@@ -357,28 +336,41 @@ impl Machine {
             cfg.seed,
         )?];
         let cores = vec![Core::new(CoreId(0), cfg.core)?];
+        let mem = MemSystem::new(cfg.mem.clone())?;
+        Ok(Machine::assemble(cfg, mem, cores, seqs, Vec::new()))
+    }
+
+    /// The machine around its built parts, with the defaults every
+    /// constructor shares: the event loop, no tracer, and the
+    /// `HFS_CHECK` checker.
+    fn assemble(
+        cfg: MachineConfig,
+        mem: MemSystem,
+        cores: Vec<Core>,
+        seqs: Vec<Sequencer>,
+        backends: Vec<Backend>,
+    ) -> Machine {
         let mut m = Machine {
-            mem: MemSystem::new(cfg.mem.clone())?,
+            mem,
             cores,
             seqs,
-            backends: Vec::new(),
+            backends,
             now: Cycle::ZERO,
             cfg,
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
-            fast_forward: fastfwd_enabled(),
+            fast_forward: true,
             sched: SchedStats::default(),
             cancel: None,
             events_scratch: Vec::new(),
             drop_scratch: Vec::new(),
         };
         m.set_checker(Checker::from_env());
-        Ok(m)
+        m
     }
 
-    /// Enables or disables idle-cycle fast-forwarding (defaults to the
-    /// `HFS_NO_FASTFWD` environment variable being unset). Off pins the
-    /// run to per-cycle stepping. Simulation results are bit-identical
+    /// Enables or disables idle-cycle fast-forwarding (on by default).
+    /// Off pins the run to per-cycle stepping. Simulation results are bit-identical
     /// either way; only wall-clock changes.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
@@ -478,9 +470,8 @@ impl Machine {
     ) -> Result<(RunResult, Vec<(u64, u64)>), SimError> {
         // An enabled checker must audit every cycle, a recording tracer
         // pins to per-cycle stepping so its event stream is produced
-        // live, and `HFS_NO_FASTFWD` (cleared `fast_forward`) asks for
-        // exactly that loop; the event scheduler drives every other
-        // configuration.
+        // live, and a cleared `fast_forward` asks for exactly that loop;
+        // the event scheduler drives every other configuration.
         if self.fast_forward && !self.checker.is_enabled() && !self.tracer.is_recording() {
             self.run_sampled_event(max_cycles, interval)
         } else {
@@ -489,8 +480,8 @@ impl Machine {
     }
 
     /// The reference run loop: every component steps every cycle. It
-    /// serves enabled checkers, recording tracers, `HFS_NO_FASTFWD`, and
-    /// the event loop's low-skip handoff.
+    /// serves enabled checkers, recording tracers,
+    /// `set_fast_forward(false)`, and the event loop's low-skip handoff.
     // One shared copy for both call sites (the dispatcher and the event
     // loop's low-skip handoff): inlining either would fork the hot loop
     // into differently-optimized duplicates, and loop-vs-loop benchmark

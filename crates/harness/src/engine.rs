@@ -6,16 +6,16 @@
 //! only the (stderr) progress stream interleaves differently.
 
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use hfs_core::SimError;
 use hfs_obs::{Counter, HistogramMetric, Registry};
 use hfs_trace::{chrome_trace_json, MetricsReport, Tracer};
 
 use crate::cache::Cache;
-use crate::job::{execute_counted, execute_once_with, Job, JobOutcome};
+use crate::job::{execute_with, ExecCtx, Job, JobOutcome};
 use crate::json::Json;
 use crate::ser::outcome_to_json;
 
@@ -37,8 +37,46 @@ pub const ENV_METRICS: &str = "HFS_METRICS";
 /// Setting it implies `HFS_METRICS=1`.
 pub const ENV_TRACE_DIR: &str = "HFS_TRACE_DIR";
 
-fn env_flag(name: &str) -> bool {
+/// Whether the boolean knob `name` is on: set, non-empty, and not `0`.
+pub fn env_flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
+}
+
+/// The knob `name` parsed as a `T`; `None` when unset or unparsable.
+pub fn env_parse<T: FromStr>(name: &str) -> Option<T> {
+    std::env::var(name).ok()?.trim().parse().ok()
+}
+
+/// The execution knobs the offline engine, `hfs-serve` and
+/// `hfs-client` share, read from the environment in one place.
+#[derive(Debug, Clone)]
+pub struct Settings {
+    /// Worker count (`HFS_JOBS`; default: available parallelism).
+    pub jobs: usize,
+    /// Result-cache directory (`HFS_CACHE_DIR`, default
+    /// `results/cache`); `None` under `HFS_NO_CACHE=1`.
+    pub cache_dir: Option<PathBuf>,
+    /// Default retries for failed jobs (`HFS_RETRIES`; default 1).
+    pub retries: u32,
+    /// Artifact directory (`HFS_RESULTS_DIR`; default `results`).
+    pub results_dir: PathBuf,
+}
+
+impl Settings {
+    /// Reads the settings from the `HFS_*` environment.
+    pub fn from_env() -> Settings {
+        let dir = |name, default: &str| {
+            PathBuf::from(std::env::var_os(name).unwrap_or_else(|| default.into()))
+        };
+        Settings {
+            jobs: env_parse(ENV_JOBS)
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+            cache_dir: (!env_flag(ENV_NO_CACHE)).then(|| dir(ENV_CACHE_DIR, "results/cache")),
+            retries: env_parse(ENV_RETRIES).unwrap_or(1),
+            results_dir: dir(ENV_RESULTS_DIR, "results"),
+        }
+    }
 }
 
 /// Live counters aggregated across every batch an engine runs.
@@ -132,42 +170,22 @@ impl Engine {
         }
     }
 
-    /// The production configuration, honoring the `HFS_*` environment:
-    /// `HFS_JOBS` workers (default: available parallelism), a result
-    /// cache in `HFS_CACHE_DIR` (default `results/cache`, disable with
-    /// `HFS_NO_CACHE=1`), artifacts in `HFS_RESULTS_DIR` (default
-    /// `results`), `HFS_RETRIES` retries (default 1), and a progress
-    /// stream on stderr unless `HFS_NO_PROGRESS=1`. `HFS_METRICS=1`
-    /// attaches a metrics report to every result; `HFS_TRACE_DIR=<dir>`
+    /// The production configuration: the shared [`Settings`] (workers,
+    /// cache, retries, artifact directory) plus a progress stream on
+    /// stderr unless `HFS_NO_PROGRESS=1`. `HFS_METRICS=1` attaches a
+    /// metrics report to every result; `HFS_TRACE_DIR=<dir>`
     /// additionally writes a Chrome trace-event JSON per executed job.
     pub fn from_env() -> Engine {
-        let workers = std::env::var(ENV_JOBS)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let cache = if env_flag(ENV_NO_CACHE) {
-            None
-        } else {
-            let dir = std::env::var(ENV_CACHE_DIR).unwrap_or_else(|_| "results/cache".to_string());
-            Some(Cache::new(dir))
-        };
-        let results_dir = Some(PathBuf::from(
-            std::env::var(ENV_RESULTS_DIR).unwrap_or_else(|_| "results".to_string()),
-        ));
-        let default_retries = std::env::var(ENV_RETRIES)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
+        let settings = Settings::from_env();
         Engine {
-            workers,
-            cache,
-            results_dir,
+            workers: settings.jobs,
+            cache: settings.cache_dir.map(Cache::new),
+            results_dir: Some(settings.results_dir),
             trace_dir: std::env::var_os(ENV_TRACE_DIR)
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from),
             metrics: env_flag(ENV_METRICS),
-            default_retries,
+            default_retries: settings.retries,
             progress: !env_flag(ENV_NO_PROGRESS),
             counters: EngineCounters::default(),
             obs: EngineObs::default(),
@@ -181,25 +199,10 @@ impl Engine {
         self
     }
 
-    /// Sets the artifact output directory (written by
-    /// [`Engine::run_batch`] after each batch).
-    #[must_use]
-    pub fn with_results_dir(mut self, dir: impl Into<PathBuf>) -> Engine {
-        self.results_dir = Some(dir.into());
-        self
-    }
-
     /// Enables or disables the stderr progress stream.
     #[must_use]
     pub fn with_progress(mut self, on: bool) -> Engine {
         self.progress = on;
-        self
-    }
-
-    /// Sets the default retry count applied to every job.
-    #[must_use]
-    pub fn with_default_retries(mut self, retries: u32) -> Engine {
-        self.default_retries = retries;
         self
     }
 
@@ -332,14 +335,17 @@ impl Engine {
         let (outcome, cached) = match self.cache.as_ref().and_then(|c| c.load(&key)) {
             Some(hit) => (hit, true),
             None => {
-                let outcome = match &self.trace_dir {
-                    Some(dir) => self.execute_traced(batch, job, dir),
-                    None => {
-                        let (outcome, retries) = execute_counted(job, self.default_retries, None);
-                        self.obs.retries.add(u64::from(retries));
-                        outcome
+                let ctx = ExecCtx::default().with_retries(self.default_retries);
+                let (outcome, retries) = match &self.trace_dir {
+                    Some(dir) => {
+                        let tracer = Tracer::recording();
+                        let run = execute_with(job, &ctx.with_tracer(tracer.clone()));
+                        write_trace(dir, batch, job, &tracer);
+                        run
                     }
+                    None => execute_with(job, &ctx),
                 };
+                self.obs.retries.add(u64::from(retries));
                 if let Some(cache) = &self.cache {
                     cache.store(&key, &outcome);
                 }
@@ -404,36 +410,6 @@ impl Engine {
         }
     }
 
-    /// Runs one job with a recording tracer and exports its event stream
-    /// as Chrome trace-event JSON. Retries are skipped on this path: the
-    /// simulator is deterministic, so a traced failure would recur.
-    fn execute_traced(&self, batch: &str, job: &Job, dir: &Path) -> JobOutcome {
-        let tracer = Tracer::recording();
-        let outcome = match execute_once_with(job, &tracer) {
-            Ok(r) => JobOutcome::Ok(r),
-            Err(SimError::Timeout { max_cycles }) => JobOutcome::Timeout { max_cycles },
-            Err(SimError::Verification(msg)) => JobOutcome::CheckFailed(msg),
-            Err(e) => JobOutcome::SimError(e.to_string()),
-        };
-        let json = chrome_trace_json(&tracer.take_events());
-        let path = dir.join(format!(
-            "{}__{}.trace.json",
-            sanitize_component(batch),
-            sanitize_component(&job.label)
-        ));
-        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
-            hfs_obs::error(
-                "harness",
-                "trace_write_failed",
-                &[
-                    ("path", path.display().to_string().into()),
-                    ("error", e.to_string().into()),
-                ],
-            );
-        }
-        outcome
-    }
-
     /// The engine's live metric registry: job queue-wait and
     /// execution-wall histograms plus retry/timeout counters, exposable
     /// as Prometheus text via [`Registry::render_prometheus`].
@@ -466,6 +442,27 @@ impl Engine {
             self.obs.exec_wall_ms.summary(),
         ));
         m
+    }
+}
+
+/// Exports one executed job's recorded event stream as Chrome
+/// trace-event JSON: `<dir>/<batch>__<label>.trace.json`.
+fn write_trace(dir: &Path, batch: &str, job: &Job, tracer: &Tracer) {
+    let json = chrome_trace_json(&tracer.take_events());
+    let path = dir.join(format!(
+        "{}__{}.trace.json",
+        sanitize_component(batch),
+        sanitize_component(&job.label)
+    ));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
+        hfs_obs::error(
+            "harness",
+            "trace_write_failed",
+            &[
+                ("path", path.display().to_string().into()),
+                ("error", e.to_string().into()),
+            ],
+        );
     }
 }
 
@@ -680,6 +677,24 @@ mod tests {
         assert!(!events.is_empty());
         // Traced jobs also carry metrics.
         assert!(batch.records[0].outcome.ok().unwrap().metrics.is_some());
+        // Failures classify as on the untraced path: a config error
+        // (5 pairs exceed the 8-core bus model) and a watchdog timeout.
+        let failing = || {
+            vec![
+                Job::multi(
+                    "too-many",
+                    KernelPair::simple("demo", 2, 10),
+                    MachineConfig::itanium2_cmp(DesignPoint::heavywt()),
+                    5,
+                ),
+                job(2, 5_000).with_max_cycles(50),
+            ]
+        };
+        let traced = engine.run_batch("tr-fail", failing());
+        let plain = Engine::new(2).run_batch("plain-fail", failing());
+        let statuses = |b: &Batch| b.outcomes().map(JobOutcome::status).collect::<Vec<_>>();
+        assert_eq!(statuses(&plain), vec!["sim_error", "timeout"]);
+        assert_eq!(statuses(&traced), statuses(&plain));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

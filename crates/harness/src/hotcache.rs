@@ -163,10 +163,7 @@ impl HotCache {
     /// `HFS_HOT_CACHE_MB=0`, otherwise a cache bounded by the requested
     /// (or default) budget.
     pub fn from_env() -> Option<Arc<HotCache>> {
-        let mb = std::env::var(ENV_HOT_CACHE_MB)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or(DEFAULT_HOT_CACHE_MB);
+        let mb = crate::env_parse(ENV_HOT_CACHE_MB).unwrap_or(DEFAULT_HOT_CACHE_MB);
         (mb > 0).then(|| Arc::new(HotCache::new(mb * 1024 * 1024)))
     }
 

@@ -143,6 +143,24 @@ impl Job {
         self
     }
 
+    /// Builds the machine this job runs on — the one place a [`Mode`]
+    /// maps to a `Machine::new_*` constructor. The machine carries its
+    /// defaults (event loop, `HFS_CHECK` checker, no tracer).
+    ///
+    /// # Errors
+    ///
+    /// Any [`SimError`] from machine construction, e.g. more pipelines
+    /// than the bus model has cores for.
+    pub fn machine(&self) -> Result<Machine, SimError> {
+        match self.mode {
+            Mode::Pipeline => Machine::new_pipeline(&self.cfg, &self.pair),
+            Mode::Single => Machine::new_single(&self.cfg, &self.pair),
+            Mode::Multi(n) => {
+                Machine::new_multi_pipeline(&self.cfg, &vec![self.pair.clone(); usize::from(n)])
+            }
+        }
+    }
+
     /// The stable, content-derived cache key (16 hex digits).
     ///
     /// Hashes everything that determines the simulation outcome: the
@@ -259,79 +277,51 @@ impl fmt::Display for JobOutcome {
     }
 }
 
-/// Runs `job` once, propagating the simulator's fallible API.
-///
-/// # Errors
-///
-/// Any [`SimError`] from machine construction or the run itself.
-pub fn execute_once(job: &Job) -> Result<RunResult, SimError> {
-    let tracer = if job.metrics {
-        Tracer::metrics_only()
-    } else {
-        Tracer::disabled()
-    };
-    execute_once_with(job, &tracer)
+/// What an execution of a job carries besides the job itself. The
+/// default is the plain offline run: no retries beyond the job's own, a
+/// fresh tracer per attempt (metrics-digesting when [`Job::metrics`] is
+/// set), the machine's `HFS_CHECK` checker, and no cancellation.
+#[derive(Debug, Clone, Default)]
+pub struct ExecCtx {
+    retries: u32,
+    tracer: Option<Tracer>,
+    checker: Checker,
+    cancel: Option<CancelToken>,
 }
 
-/// Runs `job` once with an explicit tracer attached to the machine —
-/// the entry point for callers that want the recorded event stream (the
-/// engine's `HFS_TRACE_DIR` export, the fig binaries' `--trace` demo).
-///
-/// # Errors
-///
-/// Any [`SimError`] from machine construction or the run itself.
-pub fn execute_once_with(job: &Job, tracer: &Tracer) -> Result<RunResult, SimError> {
-    execute_once_instrumented(job, tracer, &Checker::disabled())
-}
-
-/// Runs `job` once with both a tracer and a machine-check handle. A
-/// disabled `checker` leaves the machine's own (env-derived) checker in
-/// place, so `HFS_CHECK=1` keeps working through every harness entry
-/// point; an enabled one overrides it — the hook the fault-injection
-/// tests use to arm [`hfs_core::Mutation`]s through the job path.
-///
-/// # Errors
-///
-/// Any [`SimError`] from machine construction or the run itself.
-pub fn execute_once_instrumented(
-    job: &Job,
-    tracer: &Tracer,
-    checker: &Checker,
-) -> Result<RunResult, SimError> {
-    execute_once_cancellable(job, tracer, checker, None)
-}
-
-/// The fully-instrumented single-run entry point: tracer, machine-check
-/// handle, and an optional cancellation token polled once per simulated
-/// cycle. The `hfs-serve` dispatcher uses the token to abandon jobs
-/// whose waiting clients have all disconnected.
-///
-/// # Errors
-///
-/// Any [`SimError`] from machine construction or the run itself,
-/// including [`SimError::Cancelled`] when the token fires mid-run.
-pub fn execute_once_cancellable(
-    job: &Job,
-    tracer: &Tracer,
-    checker: &Checker,
-    cancel: Option<&CancelToken>,
-) -> Result<RunResult, SimError> {
-    let mut machine = match job.mode {
-        Mode::Pipeline => Machine::new_pipeline(&job.cfg, &job.pair)?,
-        Mode::Single => Machine::new_single(&job.cfg, &job.pair)?,
-        Mode::Multi(n) => {
-            let pairs: Vec<KernelPair> = (0..n).map(|_| job.pair.clone()).collect();
-            Machine::new_multi_pipeline(&job.cfg, &pairs)?
-        }
-    };
-    machine.set_tracer(tracer.clone());
-    if checker.is_enabled() {
-        machine.set_checker(checker.clone());
+impl ExecCtx {
+    /// Allows `retries` re-executions after a transient failure; the
+    /// job's own [`Job::retries`] wins when larger.
+    #[must_use]
+    pub fn with_retries(mut self, retries: u32) -> ExecCtx {
+        self.retries = retries;
+        self
     }
-    if let Some(c) = cancel {
-        machine.set_cancel_token(c.clone());
+
+    /// Attaches `tracer`. Tracer clones share one buffer, so a retry
+    /// would fold a failed attempt's events into the next: a traced job
+    /// runs exactly one attempt.
+    #[must_use]
+    pub fn with_tracer(mut self, tracer: Tracer) -> ExecCtx {
+        self.tracer = Some(tracer);
+        self
     }
-    machine.run(job.max_cycles)
+
+    /// Replaces the machine's checker when `checker` is enabled (the
+    /// fault-injection hook); a disabled one keeps `HFS_CHECK`'s.
+    #[must_use]
+    pub fn with_checker(mut self, checker: Checker) -> ExecCtx {
+        self.checker = checker;
+        self
+    }
+
+    /// Polls `cancel` once per simulated cycle; a fired token surfaces
+    /// as [`JobOutcome::Cancelled`] without consuming retries.
+    #[must_use]
+    pub fn with_cancel(mut self, cancel: CancelToken) -> ExecCtx {
+        self.cancel = Some(cancel);
+        self
+    }
 }
 
 /// Runs `job` with its retry policy, classifying failures.
@@ -341,63 +331,37 @@ pub fn execute_once_cancellable(
 /// retried up to `max(job.retries, default_retries)` times to absorb
 /// transient harness issues.
 pub fn execute(job: &Job, default_retries: u32) -> JobOutcome {
-    execute_checked(job, default_retries, &Checker::disabled())
+    execute_with(job, &ExecCtx::default().with_retries(default_retries)).0
 }
 
-/// [`execute`] with an explicit machine-check handle (see
-/// [`execute_once_instrumented`] for how a disabled handle behaves).
-pub fn execute_checked(job: &Job, default_retries: u32, checker: &Checker) -> JobOutcome {
-    execute_with(job, default_retries, checker, None)
-}
-
-/// [`execute`] with a cancellation token: the `hfs-serve` worker entry
-/// point. A fired token surfaces as [`JobOutcome::Cancelled`] without
-/// consuming the retry budget.
-pub fn execute_cancellable(job: &Job, default_retries: u32, cancel: &CancelToken) -> JobOutcome {
-    execute_with(job, default_retries, &Checker::disabled(), Some(cancel))
-}
-
-/// [`execute`] with an optional cancellation token, additionally
-/// reporting how many *re*-executions the retry policy consumed (0 when
-/// the first attempt settled the outcome). The telemetry entry point:
-/// the engine and the `hfs-serve` dispatcher feed the count into their
-/// retry counters without changing what gets cached or returned.
-pub fn execute_counted(
-    job: &Job,
-    default_retries: u32,
-    cancel: Option<&CancelToken>,
-) -> (JobOutcome, u32) {
-    execute_with_counted(job, default_retries, &Checker::disabled(), cancel)
-}
-
-fn execute_with(
-    job: &Job,
-    default_retries: u32,
-    checker: &Checker,
-    cancel: Option<&CancelToken>,
-) -> JobOutcome {
-    execute_with_counted(job, default_retries, checker, cancel).0
-}
-
-fn execute_with_counted(
-    job: &Job,
-    default_retries: u32,
-    checker: &Checker,
-    cancel: Option<&CancelToken>,
-) -> (JobOutcome, u32) {
-    let attempts = 1 + job.retries.max(default_retries);
+/// [`execute`] under an explicit context, additionally reporting how
+/// many *re*-executions the retry policy consumed (0 when the first
+/// attempt settled the outcome) — the count the engine and the
+/// `hfs-serve` dispatcher feed into their retry counters.
+pub fn execute_with(job: &Job, ctx: &ExecCtx) -> (JobOutcome, u32) {
+    let attempts = if ctx.tracer.is_some() {
+        1
+    } else {
+        1 + job.retries.max(ctx.retries)
+    };
     let mut last_err = String::new();
     for attempt in 0..attempts {
-        // A fresh tracer per attempt: tracer clones share one buffer, so
-        // reusing a tracer across a retry would fold the failed attempt's
-        // partial event stream into the succeeding run's metrics report
-        // (double-counted progress totals).
-        let tracer = if job.metrics {
-            Tracer::metrics_only()
-        } else {
-            Tracer::disabled()
+        let tracer = match &ctx.tracer {
+            Some(t) => t.clone(),
+            None if job.metrics => Tracer::metrics_only(),
+            None => Tracer::disabled(),
         };
-        let outcome = match execute_once_cancellable(job, &tracer, checker, cancel) {
+        let run = job.machine().and_then(|mut machine| {
+            machine.set_tracer(tracer);
+            if ctx.checker.is_enabled() {
+                machine.set_checker(ctx.checker.clone());
+            }
+            if let Some(c) = &ctx.cancel {
+                machine.set_cancel_token(c.clone());
+            }
+            machine.run(job.max_cycles)
+        });
+        let outcome = match run {
             Ok(r) => JobOutcome::Ok(r),
             Err(SimError::Timeout { max_cycles }) => JobOutcome::Timeout { max_cycles },
             Err(SimError::Verification(msg)) => JobOutcome::CheckFailed(msg),
@@ -519,7 +483,13 @@ mod tests {
             cfg: MachineConfig::itanium2_cmp(DesignPoint::existing()),
             ..demo_job(200)
         };
-        match execute_checked(&job, 3, &checker) {
+        let checked = |checker: &hfs_core::Checker, retries| {
+            let ctx = ExecCtx::default().with_retries(retries);
+            execute_with(&job, &ctx.with_checker(checker.clone()))
+        };
+        let (out, retries_used) = checked(&checker, 3);
+        assert_eq!(retries_used, 0, "check failures are never retried");
+        match out {
             JobOutcome::CheckFailed(e) => {
                 assert!(e.contains("bus.double_grant"), "{e}");
             }
@@ -527,7 +497,7 @@ mod tests {
         }
         // The same job under a clean checker succeeds and reports it.
         let clean = hfs_core::Checker::with_level(CheckLevel::Full);
-        let out = execute_checked(&job, 0, &clean);
+        let (out, _) = checked(&clean, 0);
         assert_eq!(out.status(), "ok");
         assert!(out.ok().expect("clean run ok").checked);
     }
@@ -539,8 +509,9 @@ mod tests {
         // second report — the HFS_RETRIES double-count bug.
         let job = demo_job(40).with_metrics(true);
         let shared = Tracer::metrics_only();
-        let first = execute_once_with(&job, &shared).unwrap();
-        let second = execute_once_with(&job, &shared).unwrap();
+        let traced = |job: &Job| execute_with(job, &ExecCtx::default().with_tracer(shared.clone()));
+        let first = traced(&job).0.ok().cloned().expect("first run ok");
+        let second = traced(&job).0.ok().cloned().expect("second run ok");
         let p1 = first.metrics.unwrap().get_counter("trace.produce").unwrap();
         let p2 = second
             .metrics
@@ -555,6 +526,18 @@ mod tests {
         let m = r.metrics.as_ref().expect("metrics attached");
         assert_eq!(m.get_counter("trace.produce"), Some(p1));
         assert!(m.get_histogram("consume_to_use_cycles").unwrap().count <= p1);
+        // So a caller-supplied tracer gets exactly one attempt, whatever
+        // the retry budget: this config error (5 pairs) is not retried.
+        let doomed = Job::multi(
+            "test/too-many",
+            KernelPair::simple("demo", 2, 10),
+            MachineConfig::itanium2_cmp(DesignPoint::heavywt()),
+            5,
+        )
+        .with_retries(3);
+        let (out, retries_used) = traced(&doomed);
+        assert_eq!(out.status(), "sim_error");
+        assert_eq!(retries_used, 0);
     }
 
     #[test]
@@ -563,13 +546,17 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         // A pre-fired token aborts at cycle 0, regardless of retries.
-        let out = execute_cancellable(&demo_job(5_000).with_retries(5), 3, &token);
+        let cancellable = |job: &Job, retries, token: &CancelToken| {
+            let ctx = ExecCtx::default().with_retries(retries);
+            execute_with(job, &ctx.with_cancel(token.clone())).0
+        };
+        let out = cancellable(&demo_job(5_000).with_retries(5), 3, &token);
         assert_eq!(out.status(), "cancelled");
         assert!(!out.is_ok());
         assert!(out.to_string().contains("cancelled"));
         // An unfired token changes nothing.
         let fresh = CancelToken::new();
-        let out = execute_cancellable(&demo_job(40), 0, &fresh);
+        let out = cancellable(&demo_job(40), 0, &fresh);
         assert_eq!(out.ok().expect("runs to completion").iterations, 40);
     }
 

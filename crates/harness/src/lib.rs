@@ -37,12 +37,10 @@ pub mod ser;
 pub mod spec;
 
 pub use cache::Cache;
-pub use engine::{Batch, Engine, EngineStats, Record};
+pub use engine::{env_flag, env_parse, Batch, Engine, EngineStats, Record, Settings};
 pub use hotcache::{HotCache, HotCacheStats, HotEntry};
 pub use job::{
-    execute, execute_cancellable, execute_checked, execute_counted, execute_once,
-    execute_once_cancellable, execute_once_instrumented, execute_once_with, Job, JobOutcome, Mode,
-    CACHE_SCHEMA, DEFAULT_MAX_CYCLES,
+    execute, execute_with, ExecCtx, Job, JobOutcome, Mode, CACHE_SCHEMA, DEFAULT_MAX_CYCLES,
 };
 pub use json::{parse, Json, ParseError};
 pub use ser::{

@@ -25,6 +25,7 @@ pub mod log;
 pub mod metrics;
 
 pub use crate::log::{
-    debug, error, info, logger, warn, BufferSink, Level, Logger, Value, ENV_LOG, ENV_LOG_FILE,
+    debug, error, info, init_test_logger, logger, warn, BufferSink, Level, Logger, Value, ENV_LOG,
+    ENV_LOG_FILE,
 };
 pub use crate::metrics::{global, Counter, Gauge, HistogramMetric, Registry};

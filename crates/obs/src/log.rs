@@ -326,10 +326,30 @@ impl Logger {
     }
 }
 
+static GLOBAL: OnceLock<Logger> = OnceLock::new();
+
 /// The process logger, configured from the environment on first use.
 pub fn logger() -> &'static Logger {
-    static GLOBAL: OnceLock<Logger> = OnceLock::new();
     GLOBAL.get_or_init(Logger::from_env)
+}
+
+/// Makes the process logger write through `eprint!` at the `HFS_LOG`
+/// level, for test binaries that run servers in-process: libtest then
+/// captures each test's lines and prints them only if the test fails.
+/// A no-op once the process logger exists.
+pub fn init_test_logger() {
+    struct Captured;
+    impl Write for Captured {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            eprint!("{}", String::from_utf8_lossy(buf));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let _ = GLOBAL.set(Logger::with_sink(Level::from_env(), Box::new(Captured)));
 }
 
 /// Logs at error level on the process logger.

@@ -24,12 +24,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use hfs_harness::{sweep_from_json, Json};
+use hfs_harness::{env_flag, sweep_from_json, Json, Settings};
 use hfs_serve::{print_update, Client, Subscribe};
-
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -105,9 +101,7 @@ fn submit(spec_path: &str, out_dir: Option<PathBuf>, subscribe: Subscribe) -> Ex
         return ExitCode::SUCCESS;
     }
 
-    let dir = out_dir.unwrap_or_else(|| {
-        PathBuf::from(std::env::var("HFS_RESULTS_DIR").unwrap_or_else(|_| "results".to_string()))
-    });
+    let dir = out_dir.unwrap_or_else(|| Settings::from_env().results_dir);
     match batch.write_artifact(&dir) {
         Ok(path) => println!("{}", path.display()),
         Err(e) => {

@@ -18,7 +18,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::time::Duration;
 
-use hfs_harness::{Batch, Job, JobOutcome, Record};
+use hfs_harness::{env_flag, env_parse, Batch, Job, JobOutcome, Record};
 
 use crate::net::{Endpoint, Stream};
 use crate::proto::{ClientFrame, JobRef, ProtoError, ServeStats, ServerFrame, Subscribe};
@@ -46,14 +46,6 @@ pub const DEFAULT_SUBMIT_WINDOW: usize = 2;
 /// Consecutive `busy` rejections tolerated before the batched path
 /// gives up (each idle retry backs off 50ms).
 const BUSY_RETRY_LIMIT: u32 = 1200;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// Anything that can go wrong on the client side.
 #[derive(Debug)]
@@ -270,8 +262,7 @@ impl Client {
                 )))
             }
         }
-        let mut slots: Vec<Option<Record>> = (0..total).map(|_| None).collect();
-        let mut finished: u64 = 0;
+        let mut slots = Slots::new(total);
         loop {
             match self.read_frame()? {
                 ServerFrame::Job {
@@ -287,32 +278,7 @@ impl Client {
                             "job frame for batch {e:?} while waiting on {experiment:?}"
                         )));
                     }
-                    let slot = slots.get_mut(index as usize).ok_or_else(|| {
-                        ClientError::Unexpected(format!("job index {index} out of range {total}"))
-                    })?;
-                    if slot.is_some() {
-                        return Err(ClientError::Unexpected(format!(
-                            "duplicate result for job index {index}"
-                        )));
-                    }
-                    finished += 1;
-                    on_update(&JobUpdate {
-                        finished,
-                        total,
-                        label: label.clone(),
-                        cached,
-                        outcome: outcome.clone(),
-                    });
-                    *slot = Some(Record {
-                        label,
-                        key,
-                        cached,
-                        // Wall time is a server-side detail; artifacts
-                        // exclude it, so zero keeps records honest
-                        // without affecting bytes.
-                        wall_millis: 0,
-                        outcome,
-                    });
+                    slots.fill(index as usize, label, key, cached, outcome, &mut on_update)?;
                 }
                 ServerFrame::Done { experiment: e, .. } => {
                     if e != experiment {
@@ -320,19 +286,7 @@ impl Client {
                             "done frame for batch {e:?} while waiting on {experiment:?}"
                         )));
                     }
-                    let records: Vec<Record> = slots
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            s.ok_or_else(|| {
-                                ClientError::Unexpected(format!("done before job {i} resolved"))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    return Ok(Batch {
-                        name: experiment.to_string(),
-                        records,
-                    });
+                    return slots.into_batch(experiment);
                 }
                 ServerFrame::Error { message } => return Err(ClientError::Server(message)),
                 other => {
@@ -394,15 +348,14 @@ impl Client {
             Subscribe::All => Subscribe::Final,
             s => s,
         };
-        let chunk_size = env_usize(ENV_SUBMIT_CHUNK, DEFAULT_SUBMIT_CHUNK);
-        let window = env_usize(ENV_SUBMIT_WINDOW, DEFAULT_SUBMIT_WINDOW);
+        let knob = |name, default| env_parse(name).filter(|&n| n > 0).unwrap_or(default);
+        let chunk_size = knob(ENV_SUBMIT_CHUNK, DEFAULT_SUBMIT_CHUNK);
+        let window = knob(ENV_SUBMIT_WINDOW, DEFAULT_SUBMIT_WINDOW);
         // Key-reference probing starts on and latches off at the first
         // `refs_miss`: a sweep is either warm (every chunk resolves
         // from the server's caches) or cold (one bounced chunk per
         // window slot, then full specs for the rest).
-        let mut use_refs = std::env::var(ENV_SUBMIT_REFS)
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(true);
+        let mut use_refs = std::env::var_os(ENV_SUBMIT_REFS).is_none() || env_flag(ENV_SUBMIT_REFS);
 
         // Chunk ids are 1-based offsets into the sweep; `base_of` maps
         // them back to global slot positions and doubles as the
@@ -423,11 +376,10 @@ impl Client {
         }
         let nchunks = pending.len();
 
-        let mut slots: Vec<Option<Record>> = (0..total).map(|_| None).collect();
+        let mut slots = Slots::new(total);
         // Chunks written but not yet accepted keep their jobs here in
         // case a `busy` bounces them back to `pending`.
         let mut awaiting: HashMap<u64, Vec<Job>> = HashMap::new();
-        let mut finished: u64 = 0;
         let mut done_chunks = 0usize;
         let mut in_flight = 0usize;
         let mut stalled = false;
@@ -531,34 +483,7 @@ impl Client {
                     })?;
                     for r in results {
                         let index = base + r.index as usize;
-                        let slot = slots.get_mut(index).ok_or_else(|| {
-                            ClientError::Unexpected(format!(
-                                "chunk {id} result index {} out of range {total}",
-                                r.index
-                            ))
-                        })?;
-                        if slot.is_some() {
-                            return Err(ClientError::Unexpected(format!(
-                                "duplicate result for sweep index {index}"
-                            )));
-                        }
-                        finished += 1;
-                        on_update(&JobUpdate {
-                            finished,
-                            total,
-                            label: r.label.clone(),
-                            cached: r.cached,
-                            outcome: r.outcome.clone(),
-                        });
-                        *slot = Some(Record {
-                            label: r.label,
-                            key: r.key,
-                            cached: r.cached,
-                            // Server-side detail, excluded from
-                            // artifacts; zero matches `submit`.
-                            wall_millis: 0,
-                            outcome: r.outcome,
-                        });
+                        slots.fill(index, r.label, r.key, r.cached, r.outcome, &mut on_update)?;
                     }
                 }
                 ServerFrame::Done {
@@ -593,13 +518,72 @@ impl Client {
                 records: Vec::new(),
             });
         }
-        let records: Vec<Record> = slots
+        slots.into_batch(experiment)
+    }
+}
+
+/// A batch's records in submission order, filled as results stream
+/// back in any order.
+struct Slots {
+    records: Vec<Option<Record>>,
+    finished: u64,
+}
+
+impl Slots {
+    fn new(total: u64) -> Slots {
+        Slots {
+            records: (0..total).map(|_| None).collect(),
+            finished: 0,
+        }
+    }
+
+    /// Files the result for batch position `index` and reports it.
+    fn fill(
+        &mut self,
+        index: usize,
+        label: String,
+        key: String,
+        cached: bool,
+        outcome: JobOutcome,
+        on_update: &mut impl FnMut(&JobUpdate),
+    ) -> Result<(), ClientError> {
+        let total = self.records.len() as u64;
+        let slot = self.records.get_mut(index).ok_or_else(|| {
+            ClientError::Unexpected(format!("result index {index} out of range {total}"))
+        })?;
+        if slot.is_some() {
+            return Err(ClientError::Unexpected(format!(
+                "duplicate result for index {index}"
+            )));
+        }
+        self.finished += 1;
+        on_update(&JobUpdate {
+            finished: self.finished,
+            total,
+            label: label.clone(),
+            cached,
+            outcome: outcome.clone(),
+        });
+        *slot = Some(Record {
+            label,
+            key,
+            cached,
+            // Wall time is a server-side detail; artifacts exclude it,
+            // so zero keeps records honest without affecting bytes.
+            wall_millis: 0,
+            outcome,
+        });
+        Ok(())
+    }
+
+    /// The finished batch, or an error naming the first unresolved job.
+    fn into_batch(self, experiment: &str) -> Result<Batch, ClientError> {
+        let records = self
+            .records
             .into_iter()
             .enumerate()
             .map(|(i, s)| {
-                s.ok_or_else(|| {
-                    ClientError::Unexpected(format!("sweep finished before job {i} resolved"))
-                })
+                s.ok_or_else(|| ClientError::Unexpected(format!("done before job {i} resolved")))
             })
             .collect::<Result<_, _>>()?;
         Ok(Batch {

@@ -44,10 +44,12 @@ use std::path::PathBuf;
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use hfs_harness::{execute_counted, Cache, HotCache, Job, JobOutcome};
+use hfs_harness::{
+    env_parse, execute_with, Cache, ExecCtx, HotCache, HotEntry, Job, JobOutcome, Settings,
+};
 use hfs_obs::{Counter, Gauge, HistogramMetric, Registry};
 use hfs_sim::CancelToken;
 
@@ -76,10 +78,6 @@ const MAX_WORKER_CRASHES: u32 = 2;
 /// Results buffered per `subscribe: final` batch before a
 /// [`ServerFrame::BatchResults`] chunk is flushed.
 const BATCH_CHUNK: usize = 256;
-
-fn env_flag(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty())
-}
 
 /// Server tuning knobs. Connection/drain logging is no longer a config
 /// flag: it goes through the `hfs-obs` logger, so `HFS_LOG` controls it
@@ -125,47 +123,23 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The production configuration, honoring the same `HFS_*`
-    /// environment as [`hfs_harness::Engine::from_env`]: `HFS_JOBS`
-    /// workers, a cache in `HFS_CACHE_DIR` (default `results/cache`,
-    /// disabled by `HFS_NO_CACHE=1`), `HFS_RETRIES` retries (default
-    /// 1), plus `HFS_SERVE_QUEUE_LIMIT` for admission control and
+    /// The production configuration: the [`Settings`] the offline
+    /// engine reads (workers, cache, retries), plus
+    /// `HFS_SERVE_QUEUE_LIMIT` for admission control and
     /// `HFS_SERVE_WORKERS` for the worker-process count (the hot-cache
     /// budget rides on `HFS_HOT_CACHE_MB` inside the harness cache).
     pub fn from_env() -> ServerConfig {
-        let workers = std::env::var("HFS_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        let process_workers = std::env::var(ENV_WORKERS)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0);
-        let cache_dir = if env_flag("HFS_NO_CACHE") {
-            None
-        } else {
-            Some(PathBuf::from(
-                std::env::var("HFS_CACHE_DIR").unwrap_or_else(|_| "results/cache".to_string()),
-            ))
-        };
-        let queue_limit = std::env::var(ENV_QUEUE_LIMIT)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_QUEUE_LIMIT);
-        let default_retries = std::env::var("HFS_RETRIES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
+        let settings = Settings::from_env();
         ServerConfig {
-            workers,
-            process_workers,
+            workers: settings.jobs,
+            process_workers: env_parse(ENV_WORKERS).unwrap_or(0),
             worker_bin: None,
-            queue_limit,
-            cache_dir,
+            queue_limit: env_parse(ENV_QUEUE_LIMIT)
+                .filter(|&n| n > 0)
+                .unwrap_or(DEFAULT_QUEUE_LIMIT),
+            cache_dir: settings.cache_dir,
             hot_cache_mb: None,
-            default_retries,
+            default_retries: settings.retries,
         }
     }
 }
@@ -270,6 +244,10 @@ struct Waiter {
     batch: Arc<BatchState>,
 }
 
+/// One entry of an admitted chunk: label, key, cache hit, and the job
+/// (`None` for a `submit_refs` reference).
+type Admitted = (String, String, Option<Arc<HotEntry>>, Option<Job>);
+
 /// One deduplicated unit of execution.
 struct Flight {
     job: Arc<Job>,
@@ -364,18 +342,28 @@ impl Default for Telemetry {
 }
 
 /// Why a submission was refused.
-enum SubmitRejected {
-    Busy { queued: u64, limit: u64 },
+enum Rejected {
+    /// Admission control: the new keys would overflow the queue.
+    Busy {
+        queued: u64,
+        limit: u64,
+    },
+    /// `submit_refs` only: these chunk-relative indexes resolved neither
+    /// from the cache nor from an in-flight execution; the client must
+    /// re-send the chunk with full specs.
+    Miss(Vec<u64>),
     Draining,
 }
 
-/// Why a `submit_refs` chunk was refused.
-enum RefsRejected {
-    /// These chunk-relative indexes resolved neither from the cache
-    /// nor from an in-flight execution; the client must re-send the
-    /// chunk with full specs.
-    Miss(Vec<u64>),
-    Draining,
+impl Rejected {
+    /// The frame that answers rejected chunk `id`.
+    fn frame(self, id: u64) -> ServerFrame {
+        match self {
+            Rejected::Busy { queued, limit } => ServerFrame::Busy { queued, limit, id },
+            Rejected::Miss(missing) => ServerFrame::RefsMiss { id, missing },
+            Rejected::Draining => ServerFrame::ShuttingDown,
+        }
+    }
 }
 
 /// The parent side of the worker-process pool: per-worker stdin
@@ -515,16 +503,13 @@ impl Dispatcher {
         self.obs.registry.render_prometheus()
     }
 
-    /// Admits a whole batch or rejects it whole. On success the
-    /// `accepted` frame (and, for empty batches, the `done` frame) is
-    /// sent *under the dispatcher lock*, before any worker can pop the
-    /// new flights — guaranteeing clients see `accepted` before the
-    /// first result frame.
+    /// Admits a whole batch or rejects it whole (see
+    /// [`Dispatcher::admit`] for what admission does).
     ///
-    /// Jobs whose keys sit in the in-memory hot cache resolve right
-    /// here: they count as cache hits and deliver inline, consume no
-    /// queue slot (so a warm re-sweep never trips admission control),
-    /// and never touch a worker.
+    /// Jobs whose keys sit in the in-memory hot cache resolve at
+    /// admission: they count as cache hits, consume no queue slot (so a
+    /// warm re-sweep never trips admission control), and never touch a
+    /// worker.
     fn submit(
         &self,
         conn_id: u64,
@@ -533,15 +518,15 @@ impl Dispatcher {
         id: u64,
         subscribe: Subscribe,
         jobs: Vec<Job>,
-    ) -> Result<u64, SubmitRejected> {
+    ) -> Result<u64, Rejected> {
         let keys: Vec<String> = jobs.iter().map(Job::key).collect();
-        let hot: Vec<Option<Arc<hfs_harness::HotEntry>>> = match &self.cache {
+        let hot: Vec<Option<Arc<HotEntry>>> = match &self.cache {
             Some(cache) => keys.iter().map(|k| cache.hot_entry(k)).collect(),
             None => vec![None; keys.len()],
         };
-        let mut inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap();
         if inner.draining {
-            return Err(SubmitRejected::Draining);
+            return Err(Rejected::Draining);
         }
         let new_keys: HashSet<&str> = keys
             .iter()
@@ -551,80 +536,18 @@ impl Dispatcher {
             .collect();
         if inner.queued_total() + new_keys.len() > self.queue_limit {
             self.obs.rejected.inc();
-            return Err(SubmitRejected::Busy {
+            return Err(Rejected::Busy {
                 queued: inner.queued_total() as u64,
                 limit: self.queue_limit as u64,
             });
         }
-        let total = jobs.len() as u64;
-        let _ = tx.send(ServerFrame::Accepted {
-            experiment: experiment.to_string(),
-            total,
-            id,
-        });
-        if jobs.is_empty() {
-            let _ = tx.send(ServerFrame::Done {
-                experiment: experiment.to_string(),
-                ok: true,
-                id,
-            });
-            return Ok(0);
-        }
-        let batch = Arc::new(BatchState {
-            experiment: experiment.to_string(),
-            id,
-            subscribe,
-            remaining: AtomicUsize::new(jobs.len()),
-            all_ok: AtomicBool::new(true),
-            buffer: Mutex::new(Vec::new()),
-            tx: tx.clone(),
-        });
-        for (index, (job, (key, hot_entry))) in
-            jobs.into_iter().zip(keys.into_iter().zip(hot)).enumerate()
-        {
-            self.obs.submitted.inc();
-            if let Some(entry) = hot_entry {
-                self.obs.cache_hits.inc();
-                batch.deliver(
-                    &self.obs,
-                    index as u64,
-                    job.label.clone(),
-                    &key,
-                    true,
-                    entry.outcome().clone(),
-                    Some(Arc::clone(entry.json_arc())),
-                );
-                continue;
-            }
-            let waiter = Waiter {
-                conn_id,
-                index,
-                label: job.label.clone(),
-                batch: Arc::clone(&batch),
-            };
-            if let Some(flight) = inner.flights.get_mut(&key) {
-                self.obs.deduped.inc();
-                flight.waiters.push(waiter);
-            } else {
-                let shard = self.shard_of(&key);
-                inner.flights.insert(
-                    key.clone(),
-                    Flight {
-                        job: Arc::new(job),
-                        cancel: CancelToken::new(),
-                        running: false,
-                        worker: None,
-                        waiters: vec![waiter],
-                        enqueued_at: Instant::now(),
-                    },
-                );
-                inner.queues[shard].push_back(key);
-            }
-        }
-        self.note_queue_depth(&inner);
-        drop(inner);
-        self.work_ready.notify_all();
-        Ok(total)
+        let entries = jobs
+            .into_iter()
+            .zip(keys)
+            .zip(hot)
+            .map(|((job, key), hit)| (job.label.clone(), key, hit, Some(job)))
+            .collect();
+        Ok(self.admit(inner, conn_id, tx, experiment, id, subscribe, entries))
     }
 
     /// Admits a `submit_refs` chunk: every reference must resolve from
@@ -644,18 +567,18 @@ impl Dispatcher {
         id: u64,
         subscribe: Subscribe,
         refs: Vec<JobRef>,
-    ) -> Result<u64, RefsRejected> {
+    ) -> Result<u64, Rejected> {
         // Cache probes can do IO (a disk read on hot-layer miss), so
         // they run before the dispatcher lock. Entries carry the
         // outcome's cached serialization, which delivery splices into
         // result frames instead of re-encoding per hit.
-        let hits: Vec<Option<Arc<hfs_harness::HotEntry>>> = match &self.cache {
+        let hits: Vec<Option<Arc<HotEntry>>> = match &self.cache {
             Some(cache) => refs.iter().map(|r| cache.load_entry(&r.key)).collect(),
             None => vec![None; refs.len()],
         };
-        let mut inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock().unwrap();
         if inner.draining {
-            return Err(RefsRejected::Draining);
+            return Err(Rejected::Draining);
         }
         let missing: Vec<u64> = refs
             .iter()
@@ -665,59 +588,111 @@ impl Dispatcher {
             .map(|(i, _)| i as u64)
             .collect();
         if !missing.is_empty() {
-            return Err(RefsRejected::Miss(missing));
+            return Err(Rejected::Miss(missing));
         }
-        let total = refs.len() as u64;
+        let entries = refs
+            .into_iter()
+            .zip(hits)
+            .map(|(r, hit)| (r.label, r.key, hit, None))
+            .collect();
+        Ok(self.admit(inner, conn_id, tx, experiment, id, subscribe, entries))
+    }
+
+    /// The admission tail of [`Dispatcher::submit`] and
+    /// [`Dispatcher::submit_refs`], entered under the dispatcher lock
+    /// once the whole chunk is admitted. It sends `accepted` (and, for
+    /// an empty chunk, `done`) before any worker can pop the new
+    /// flights, so clients see `accepted` before the first result
+    /// frame. Then, per entry, a cache hit delivers inline; anything
+    /// else waits on its key's flight, which the entry's job starts if
+    /// there is none. Only `submit` passes jobs: `submit_refs` has
+    /// already refused any reference with neither a hit nor a flight.
+    /// Returns the chunk's job count.
+    // Both callers pass their request fields straight through; a params
+    // struct would just restate them.
+    #[allow(clippy::too_many_arguments)]
+    fn admit(
+        &self,
+        mut inner: MutexGuard<'_, DispatchInner>,
+        conn_id: u64,
+        tx: &Sender<ServerFrame>,
+        experiment: &str,
+        id: u64,
+        subscribe: Subscribe,
+        entries: Vec<Admitted>,
+    ) -> u64 {
+        let total = entries.len() as u64;
         let _ = tx.send(ServerFrame::Accepted {
             experiment: experiment.to_string(),
             total,
             id,
         });
-        if refs.is_empty() {
+        if entries.is_empty() {
             let _ = tx.send(ServerFrame::Done {
                 experiment: experiment.to_string(),
                 ok: true,
                 id,
             });
-            return Ok(0);
+            return 0;
         }
         let batch = Arc::new(BatchState {
             experiment: experiment.to_string(),
             id,
             subscribe,
-            remaining: AtomicUsize::new(refs.len()),
+            remaining: AtomicUsize::new(entries.len()),
             all_ok: AtomicBool::new(true),
             buffer: Mutex::new(Vec::new()),
             tx: tx.clone(),
         });
-        for (index, (r, hit)) in refs.into_iter().zip(hits).enumerate() {
+        let mut enqueued = false;
+        for (index, (label, key, hit, job)) in entries.into_iter().enumerate() {
             self.obs.submitted.inc();
             if let Some(entry) = hit {
                 self.obs.cache_hits.inc();
                 batch.deliver(
                     &self.obs,
                     index as u64,
-                    r.label,
-                    &r.key,
+                    label,
+                    &key,
                     true,
                     entry.outcome().clone(),
                     Some(Arc::clone(entry.json_arc())),
                 );
                 continue;
             }
-            let flight = inner
-                .flights
-                .get_mut(r.key.as_str())
-                .expect("unresolved refs were rejected above");
-            self.obs.deduped.inc();
-            flight.waiters.push(Waiter {
+            let waiter = Waiter {
                 conn_id,
                 index,
-                label: r.label,
+                label,
                 batch: Arc::clone(&batch),
-            });
+            };
+            if let Some(flight) = inner.flights.get_mut(&key) {
+                self.obs.deduped.inc();
+                flight.waiters.push(waiter);
+                continue;
+            }
+            let job = job.expect("a reference without a hit has a flight");
+            let shard = self.shard_of(&key);
+            inner.flights.insert(
+                key.clone(),
+                Flight {
+                    job: Arc::new(job),
+                    cancel: CancelToken::new(),
+                    running: false,
+                    worker: None,
+                    waiters: vec![waiter],
+                    enqueued_at: Instant::now(),
+                },
+            );
+            inner.queues[shard].push_back(key);
+            enqueued = true;
         }
-        Ok(total)
+        if enqueued {
+            self.note_queue_depth(&inner);
+            drop(inner);
+            self.work_ready.notify_all();
+        }
+        total
     }
 
     /// Blocks until shard `idx` has work (returning its pickup state)
@@ -748,19 +723,27 @@ impl Dispatcher {
         }
     }
 
-    /// One worker thread: pop, resolve (cache or simulate), deliver.
-    fn worker_loop(&self) {
-        loop {
-            let Some((key, job, cancel, queue_wait_ms)) = self.next_flight(0) else {
-                return;
-            };
-
+    /// One worker: pop from shard `idx`, resolve from the cache or
+    /// execute, deliver. Thread mode executes in-process; process mode
+    /// round-trips the job through worker `idx`'s child process,
+    /// spawned on first use, restarted (bounded) if it dies mid-job, and
+    /// reaped at drain.
+    fn worker_loop(&self, idx: usize) {
+        let mut child: Option<WorkerChild> = None;
+        while let Some((key, job, cancel, queue_wait_ms)) = self.next_flight(idx) {
             let executing_at = Instant::now();
             let (outcome, cached) = match self.cache.as_ref().and_then(|c| c.load(&key)) {
                 Some(hit) => (hit, true),
                 None => {
-                    let (outcome, retries) =
-                        execute_counted(&job, self.default_retries, Some(&cancel));
+                    let (outcome, retries) = match self.proc {
+                        None => {
+                            let ctx = ExecCtx::default().with_retries(self.default_retries);
+                            execute_with(&job, &ctx.with_cancel(cancel))
+                        }
+                        // The child's cancel arrives as a `cancel` frame
+                        // from `drop_conn`.
+                        Some(_) => self.run_on_child(&mut child, idx, &key, &job),
+                    };
                     self.obs.retries.add(u64::from(retries));
                     if let Some(cache) = &self.cache {
                         cache.store(&key, &outcome);
@@ -785,44 +768,8 @@ impl Dispatcher {
             }
             self.complete(&key, outcome, cached);
         }
-    }
-
-    /// One worker-process proxy thread: pop from this worker's shard,
-    /// resolve from the cache, or round-trip the job through the child
-    /// process — restarting it (bounded) if it dies mid-job.
-    fn proc_worker_loop(&self, idx: usize) {
-        let mut child: Option<WorkerChild> = None;
-        loop {
-            let Some((key, job, _cancel, queue_wait_ms)) = self.next_flight(idx) else {
-                self.reap_worker(idx, child.take());
-                return;
-            };
-
-            let executing_at = Instant::now();
-            let (outcome, cached) = match self.cache.as_ref().and_then(|c| c.load(&key)) {
-                Some(hit) => (hit, true),
-                None => {
-                    let (outcome, retries) = self.run_on_child(&mut child, idx, &key, &job);
-                    self.obs.retries.add(u64::from(retries));
-                    if let Some(cache) = &self.cache {
-                        cache.store(&key, &outcome);
-                    }
-                    (outcome, false)
-                }
-            };
-            if cached {
-                self.obs.cache_hits.inc();
-            } else if !matches!(outcome, JobOutcome::Cancelled) {
-                self.obs.executed.inc();
-                self.obs.queue_wait_ms.observe(queue_wait_ms);
-                self.obs
-                    .exec_wall_ms
-                    .observe(executing_at.elapsed().as_millis() as u64);
-            }
-            if matches!(outcome, JobOutcome::Timeout { .. }) {
-                self.obs.timeouts.inc();
-            }
-            self.complete(&key, outcome, cached);
+        if self.proc.is_some() {
+            self.reap_worker(idx, child);
         }
     }
 
@@ -1189,21 +1136,19 @@ impl Server {
             endpoint_desc,
             workers,
         } = self;
-        let worker_handles: Vec<_> = if dispatcher.proc.is_some() {
-            (0..dispatcher.nshards)
-                .map(|i| {
-                    let d = Arc::clone(&dispatcher);
-                    std::thread::spawn(move || d.proc_worker_loop(i))
-                })
-                .collect()
+        // Thread mode: `workers` threads share the one shard. Process
+        // mode: one proxy thread per worker process, each on its shard.
+        let threads = if dispatcher.proc.is_some() {
+            dispatcher.nshards
         } else {
-            (0..workers)
-                .map(|_| {
-                    let d = Arc::clone(&dispatcher);
-                    std::thread::spawn(move || d.worker_loop())
-                })
-                .collect()
+            workers
         };
+        let worker_handles: Vec<_> = (0..threads)
+            .map(|i| {
+                let d = Arc::clone(&dispatcher);
+                std::thread::spawn(move || d.worker_loop(i % d.nshards))
+            })
+            .collect();
 
         listener.set_nonblocking(true)?;
         let live_conns = Arc::new(AtomicUsize::new(0));
@@ -1326,18 +1271,10 @@ fn handle_conn(dispatcher: &Dispatcher, stream: crate::net::Stream, conn_id: u64
                 dispatcher.begin_drain();
             }
             Ok(Some(ClientFrame::Submit { experiment, jobs })) => {
-                match dispatcher.submit(conn_id, &tx, &experiment, 0, Subscribe::All, jobs) {
-                    Ok(_) => {}
-                    Err(SubmitRejected::Busy { queued, limit }) => {
-                        let _ = tx.send(ServerFrame::Busy {
-                            queued,
-                            limit,
-                            id: 0,
-                        });
-                    }
-                    Err(SubmitRejected::Draining) => {
-                        let _ = tx.send(ServerFrame::ShuttingDown);
-                    }
+                if let Err(r) =
+                    dispatcher.submit(conn_id, &tx, &experiment, 0, Subscribe::All, jobs)
+                {
+                    let _ = tx.send(r.frame(0));
                 }
             }
             Ok(Some(ClientFrame::SubmitBatch {
@@ -1345,29 +1282,23 @@ fn handle_conn(dispatcher: &Dispatcher, stream: crate::net::Stream, conn_id: u64
                 id,
                 subscribe,
                 jobs,
-            })) => match dispatcher.submit(conn_id, &tx, &experiment, id, subscribe, jobs) {
-                Ok(_) => {}
-                Err(SubmitRejected::Busy { queued, limit }) => {
-                    let _ = tx.send(ServerFrame::Busy { queued, limit, id });
+            })) => {
+                if let Err(r) = dispatcher.submit(conn_id, &tx, &experiment, id, subscribe, jobs) {
+                    let _ = tx.send(r.frame(id));
                 }
-                Err(SubmitRejected::Draining) => {
-                    let _ = tx.send(ServerFrame::ShuttingDown);
-                }
-            },
+            }
             Ok(Some(ClientFrame::SubmitRefs {
                 experiment,
                 id,
                 subscribe,
                 refs,
-            })) => match dispatcher.submit_refs(conn_id, &tx, &experiment, id, subscribe, refs) {
-                Ok(_) => {}
-                Err(RefsRejected::Miss(missing)) => {
-                    let _ = tx.send(ServerFrame::RefsMiss { id, missing });
+            })) => {
+                if let Err(r) =
+                    dispatcher.submit_refs(conn_id, &tx, &experiment, id, subscribe, refs)
+                {
+                    let _ = tx.send(r.frame(id));
                 }
-                Err(RefsRejected::Draining) => {
-                    let _ = tx.send(ServerFrame::ShuttingDown);
-                }
-            },
+            }
         }
     }
     dispatcher.drop_conn(conn_id);
@@ -1404,7 +1335,7 @@ mod tests {
         }));
         for _ in 0..workers {
             let dd = Arc::clone(&d);
-            std::thread::spawn(move || dd.worker_loop());
+            std::thread::spawn(move || dd.worker_loop(0));
         }
         d
     }
@@ -1523,7 +1454,7 @@ mod tests {
             vec![job("b/1", 4, 10), job("b/2", 5, 10), job("b/3", 6, 10)],
         );
         match res {
-            Err(SubmitRejected::Busy { limit, .. }) => assert_eq!(limit, 2),
+            Err(Rejected::Busy { limit, .. }) => assert_eq!(limit, 2),
             _ => panic!("expected busy"),
         }
         assert_eq!(d.stats().rejected, 1);
@@ -1597,7 +1528,7 @@ mod tests {
         let (tx, _rx) = channel();
         assert!(matches!(
             d.submit(0, &tx, "late", 0, Subscribe::All, vec![job("l/1", 2, 10)]),
-            Err(SubmitRejected::Draining)
+            Err(Rejected::Draining)
         ));
         d.wait_drained();
     }

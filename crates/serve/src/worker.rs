@@ -25,7 +25,7 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 
 use hfs_harness::{
-    execute_counted, job_from_json, job_to_json, outcome_from_json, outcome_to_json, Job,
+    execute_with, job_from_json, job_to_json, outcome_from_json, outcome_to_json, ExecCtx, Job,
     JobOutcome, Json,
 };
 use hfs_sim::CancelToken;
@@ -212,7 +212,8 @@ pub fn worker_main() -> i32 {
     while let Ok(Some((key, retries, job))) = work_rx.recv() {
         let token = CancelToken::new();
         *current.lock().unwrap() = Some((key.clone(), token.clone()));
-        let (outcome, retries_used) = execute_counted(&job, retries, Some(&token));
+        let ctx = ExecCtx::default().with_retries(retries).with_cancel(token);
+        let (outcome, retries_used) = execute_with(&job, &ctx);
         *current.lock().unwrap() = None;
         let reply = WorkerReply {
             key,

@@ -73,6 +73,7 @@ impl TestServer {
         default_retries: u32,
     ) -> TestServer {
         let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        hfs_obs::init_test_logger();
         let base = std::env::temp_dir().join(format!("hfs-workers-{}-{tag}", std::process::id()));
         let sock = base.with_extension("sock");
         let cache = base.with_extension("cache");
@@ -155,15 +156,20 @@ fn worker_pids() -> Vec<u32> {
     pids
 }
 
+/// The unlabelled sample `name` from a `metrics` exposition.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("{name} exposed"))
+}
+
 /// The `hfs_worker_restarts_total` counter from a live server.
 fn restarts_metric(client: &mut Client) -> u64 {
-    client
-        .metrics()
-        .expect("metrics")
-        .lines()
-        .find_map(|l| l.strip_prefix("hfs_worker_restarts_total "))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("restart counter exposed")
+    sample(
+        &client.metrics().expect("metrics"),
+        "hfs_worker_restarts_total",
+    )
 }
 
 /// Number of regular files anywhere under `dir`.
@@ -222,6 +228,18 @@ fn process_workers_match_offline_bytes_cold_and_warm() {
     assert_eq!(stats.executed, expected.len() as u64, "each job ran once");
     assert!(stats.cache_hits >= expected.len() as u64, "warm pass hit");
     assert_eq!(stats.delivered, stats.submitted, "nothing dropped");
+    assert_eq!(
+        stats.submitted,
+        stats.executed + stats.cache_hits + stats.deduped,
+        "every submission resolves exactly one way: {stats:?}"
+    );
+    // The lifecycle histograms are observed once per executed job, in
+    // process mode exactly as in thread mode.
+    let text = client.metrics().expect("metrics");
+    let executed = sample(&text, "hfs_jobs_executed_total");
+    assert_eq!(executed, stats.executed);
+    assert_eq!(sample(&text, "hfs_job_queue_wait_ms_count"), executed);
+    assert_eq!(sample(&text, "hfs_job_exec_wall_ms_count"), executed);
     drop(client);
     server.shutdown();
 }

@@ -83,6 +83,9 @@ for proto in mesi dragon; do
     fi
 done
 
+echo "==> e2ebench tests (the end-to-end benchmark builds against the current API)"
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> simbench --quick --check (hot-loop throughput gate vs committed baseline)"
 # --check fails the run when a point regresses >10% vs its committed
 # BENCH_simloop.json row (after one damped re-measure).

@@ -208,6 +208,7 @@ fn metrics_frame_agrees_with_stats_and_lifecycle_invariants() {
         cache_dir: Some(cache_dir.clone()),
         ..ServerConfig::default()
     };
+    hfs::obs::init_test_logger();
     let server = Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), &config).expect("bind");
     let addr = server.tcp_addr().expect("tcp addr");
     let handle = thread::spawn(move || server.run().expect("server run"));

@@ -54,8 +54,7 @@ fn designs() -> Vec<DesignPoint> {
 }
 
 /// One run with fast-forwarding on (the event loop) or off (per-cycle
-/// stepping), immune to whatever `HFS_NO_FASTFWD` the test environment
-/// carries.
+/// stepping).
 fn run_ff(cfg: &MachineConfig, pair: &KernelPair, ff: bool) -> RunResult {
     let mut m = Machine::new_pipeline(cfg, pair).expect("machine builds");
     m.set_fast_forward(ff);

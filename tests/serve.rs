@@ -48,6 +48,7 @@ fn sweep(experiment: &str, iterations: u64) -> Vec<Job> {
 /// thread, and returns the connectable endpoint plus the join handle
 /// (which yields the final drained counter snapshot).
 fn start_server(config: ServerConfig) -> (Endpoint, thread::JoinHandle<hfs::serve::ServeStats>) {
+    hfs::obs::init_test_logger();
     let server =
         Server::bind(&Endpoint::Tcp("127.0.0.1:0".to_string()), &config).expect("bind server");
     let addr = server.tcp_addr().expect("tcp endpoint has an address");
@@ -102,6 +103,7 @@ fn protocol_round_trip_over_tcp() {
 fn protocol_round_trip_over_unix_socket() {
     let sock = scratch_dir("unix").join("hfs.sock");
     let endpoint = Endpoint::Unix(sock.clone());
+    hfs::obs::init_test_logger();
     let server = Server::bind(&endpoint, &ServerConfig::default()).expect("bind unix server");
     let handle = thread::spawn(move || server.run().expect("server run"));
 

@@ -4,8 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use hfs::core::{DesignPoint, MachineConfig};
-use hfs::harness::{execute_once_with, Engine, Job};
+use hfs::core::{DesignPoint, MachineConfig, RunResult};
+use hfs::harness::{execute_with, Engine, ExecCtx, Job, JobOutcome};
 use hfs::trace::{event_stream_text, CoreActivity, TraceEvent, Tracer};
 use hfs::workloads::benchmark;
 
@@ -29,9 +29,17 @@ fn small_syncopti_job(label: &str) -> Job {
     )
 }
 
+/// Runs `job` once with `tracer` attached.
+fn run_traced(job: &Job, tracer: &Tracer) -> RunResult {
+    match execute_with(job, &ExecCtx::default().with_tracer(tracer.clone())).0 {
+        JobOutcome::Ok(r) => r,
+        other => panic!("{}: traced run failed: {other}", job.label),
+    }
+}
+
 fn recorded_text(job: &Job) -> String {
     let tracer = Tracer::recording();
-    execute_once_with(job, &tracer).expect("small traced run succeeds");
+    run_traced(job, &tracer);
     event_stream_text(&tracer.take_events())
 }
 
@@ -132,7 +140,7 @@ fn trace_files_identical_across_worker_counts() {
 fn core_state_events_sum_to_the_figure7_invariant() {
     let job = small_syncopti_job("det/invariant");
     let tracer = Tracer::recording();
-    let result = execute_once_with(&job, &tracer).expect("traced run succeeds");
+    let result = run_traced(&job, &tracer);
     let mut busy: BTreeMap<u8, u64> = BTreeMap::new();
     let mut stalls: BTreeMap<u8, u64> = BTreeMap::new();
     for e in tracer.take_events() {
